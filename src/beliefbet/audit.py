@@ -9,10 +9,12 @@ all prices come from a belief function via the Choquet integral.
 The last verdict is decided through a finite characterization: invert the
 indicator prices on the subset lattice and demand a nonnegative result,
 then demand Choquet agreement on all indicators plus a seeded sample of
-general gambles. Failures ship a :class:`ViolationCertificate`, two lists
-of gambles whose summed worst-case revenue is ordered one way for every
-two-valued valuation while the summed buy prices are ordered strictly the
-other way; :func:`verify_certificate` rechecks both facts from scratch.
+general gambles. The Choquet price of an indicator 1_A is Bel_m(A), so one
+zeta transform of the recovered mass prices every indicator at once.
+Failures ship a :class:`ViolationCertificate`, two lists of gambles whose
+summed worst-case revenue is ordered one way for every two-valued
+valuation while the summed buy prices are ordered strictly the other way;
+:func:`verify_certificate` rechecks both facts from scratch.
 
 Audits are pure functions of (model, plan); the plan's seed pins every
 random draw, so any report can be replayed bit for bit.
@@ -36,8 +38,6 @@ from .errors import (
 from .previsions import (
     ChoquetModel,
     Gamble,
-    LinearModel,
-    LowerEnvelopeModel,
     PriceModel,
     buy,
     buy_batch,
@@ -55,6 +55,8 @@ from .setfn import (
     NegativeMassReport,
     OutcomeSpace,
     SetFunction,
+    _classify_mobius,
+    _fewest_outcomes,
     _mobius_at,
     belief_to_mass,
     mobius_transform,
@@ -252,17 +254,27 @@ def _probability_verdict(
     b = star ^ a
     if abs(values[star] - values[a] - values[b]) > tol:
         return ProbabilityCheck(False, (a, b))
-    # interference from sub-tolerance weights; fall back to a direct scan
-    for union in range(3, space.size):
-        if int(union).bit_count() < 2:
-            continue
-        sub = (union - 1) & union
-        while sub:
-            rest = union ^ sub
-            if rest and sub < rest and abs(values[union] - values[sub] - values[rest]) > tol:
-                return ProbabilityCheck(False, (sub, rest))
-            sub = (sub - 1) & union
-    return ProbabilityCheck(False, (a, b))
+    # Interference from sub-tolerance weights. Test the singleton extensions
+    # f(B + i) - f(B) - f(i), i not in B: exact additivity holds iff they
+    # all vanish (induction on |A|), so n 2^n checks replace the 3^n pairs.
+    # Report the first offender by union (popcount, mask), then lowest i.
+    offending = np.zeros(space.size, dtype=bool)
+    for i in range(space.n):
+        v = values.reshape(-1, 2, 1 << i)
+        gaps = np.abs(v[:, 1, :] - v[:, 0, :] - values[1 << i])
+        offending.reshape(-1, 2, 1 << i)[:, 1, :] |= gaps > tol
+    offending[1 << np.arange(space.n)] = False  # B empty
+    unions = np.flatnonzero(offending)
+    if not unions.size:
+        return ProbabilityCheck(False)
+    counts = np.bitwise_count(unions)
+    union = int(unions[counts == counts.min()].min())
+    single = next(
+        1 << i for i in range(space.n)
+        if union >> i & 1 and abs(values[union] - values[union ^ (1 << i)] - values[1 << i]) > tol
+    )
+    rest = union ^ single
+    return ProbabilityCheck(False, (min(rest, single), max(rest, single)))
 
 
 def probability_check(pm: PriceModel, *, tol: float = DEFAULT_TOL) -> ProbabilityCheck:
@@ -464,15 +476,8 @@ def verify_certificate(
     for g in cert.ys:
         _check_same_space(cert.space, g.space)
         revenue_y += _subset_minima(g.payoff)
-    if cert.xs and cert.ys:
-        dominated = bool(np.all(revenue_x[1:] <= revenue_y[1:] + exact_tol))
-    else:
-        # an empty side contributes an empty sum, i.e. zero revenue
-        empty_side = np.zeros(size - 1)
-        lhs = revenue_x[1:] if cert.xs else empty_side
-        rhs = revenue_y[1:] if cert.ys else empty_side
-        dominated = bool(np.all(lhs <= rhs + exact_tol))
-    if not dominated:
+    # an empty side sums to the zero table, which is its zero revenue
+    if not np.all(revenue_x[1:] <= revenue_y[1:] + exact_tol):
         return False
     bought_x = math.fsum(buy(pm, g) for g in cert.xs)
     bought_y = math.fsum(buy(pm, g) for g in cert.ys)
@@ -527,46 +532,6 @@ def _sampled_sure_loss(pm: PriceModel, plan: SamplePlan) -> float | None:
     return worst
 
 
-def _model_kind(pm: PriceModel) -> str:
-    if isinstance(pm, LinearModel):
-        return "linear"
-    if isinstance(pm, ChoquetModel):
-        return "choquet"
-    if isinstance(pm, LowerEnvelopeModel):
-        return "lower_envelope"
-    return type(pm).__name__
-
-
-_AGREEMENT_CHUNK = 1 << 14
-
-
-def _indicator_matrix(space: OutcomeSpace, start: int, stop: int) -> np.ndarray:
-    masks = np.arange(start, stop)[:, None]
-    return ((masks >> np.arange(space.n)) & 1).astype(float)
-
-
-def _choquet_batch(mass: MassFunction, payoffs: np.ndarray) -> np.ndarray:
-    out = np.zeros(payoffs.shape[0])
-    for mask, w in mass.weights.items():
-        idx = [i for i in range(mass.space.n) if mask >> i & 1]
-        out += w * payoffs[:, idx].min(axis=1)
-    return out
-
-
-def _worst_indicator_gap(pm: PriceModel, mass: MassFunction) -> tuple[float, int]:
-    """Largest |model - Choquet| over all indicators, chunked to keep the
-    indicator matrix small on wide spaces."""
-    worst, worst_mask = -1.0, 0
-    for start in range(0, pm.space.size, _AGREEMENT_CHUNK):
-        stop = min(start + _AGREEMENT_CHUNK, pm.space.size)
-        block = _indicator_matrix(pm.space, start, stop)
-        gaps = np.abs(buy_batch(pm, block) - _choquet_batch(mass, block))
-        idx = int(np.argmax(gaps))
-        if gaps[idx] > worst:
-            worst, worst_mask = float(gaps[idx]), start + idx
-    return worst, worst_mask
-
-
 def belief_consistency_audit(
     pm: PriceModel,
     plan: SamplePlan = SamplePlan(),
@@ -577,37 +542,46 @@ def belief_consistency_audit(
     """Full audit: probes, sure-loss sampling, probability check, and the
     belief-consistency verdict with a verified certificate on failure.
 
-    Verdict steps: invert the indicator prices; any weight below -tol
-    yields a negative-mass certificate at the smallest offending subset
-    (ties broken toward later outcomes). Otherwise the model's prices are
-    compared with the Choquet prices of the recovered weights on all
-    indicators plus the plan's sampled gambles; the largest disagreement
-    beyond tol yields a pricing-gap certificate. Certificates are verified
-    before they are returned.
+    Verdict steps: invert the indicator prices with one Moebius transform;
+    any weight below -tol yields a negative-mass certificate at the smallest
+    offending subset (ties broken toward later outcomes). Otherwise the
+    model's prices are compared with the Choquet prices of the recovered
+    weights on the plan's sampled gambles and on all indicators, where the
+    Choquet price of 1_A is Bel_m(A), read off one zeta transform of the
+    recovered mass. The largest disagreement beyond tol yields a
+    pricing-gap certificate. Certificates are verified before they are
+    returned.
     """
     space = pm.space
     probe_report = coherence_probe(pm, plan, tol=tol)
     induced = induced_set_function(pm)
-    inverted = belief_to_mass(induced, tol=tol)
     mob = mobius_transform(induced.values)
+    inverted = _classify_mobius(induced, mob, tol)
     prob = _probability_verdict(space, induced.values, mob, tol)
     sure_worst = _sampled_sure_loss(pm, plan)
 
     certificate: ViolationCertificate | None = None
     if isinstance(inverted, NegativeMassReport):
-        candidates = [(m, v) for m, v in inverted.entries if m.bit_count() >= 2]
-        if not candidates:
+        candidates = np.flatnonzero(mob < -tol)
+        candidates = candidates[np.bitwise_count(candidates) >= 2]
+        if not candidates.size:
             raise BeliefBetError(
                 "only singleton weights are negative; the model is outside the coherent family"
             )
-        subset = min(candidates, key=lambda e: (e[0].bit_count(), -e[0]))[0]
+        subset = _fewest_outcomes(candidates)
         certificate = certificate_from_negative_mass(induced, subset, tol=tol)
         consistent = False
     else:
+        choquet = ChoquetModel(inverted)
         samples = sample_gambles(space, plan)
-        sample_gaps = np.abs(buy_batch(pm, samples) - _choquet_batch(inverted, samples))
+        sample_gaps = np.abs(buy_batch(pm, samples) - choquet.buy_payoff_batch(samples))
         sample_idx = int(np.argmax(sample_gaps))
-        indicator_gap, indicator_mask = _worst_indicator_gap(pm, inverted)
+        # Choquet(m, 1_A) = Bel_m(A), so this gap is at most the mass of the
+        # clamped sub-tolerance negatives, which the weight-sum check of the
+        # inversion holds to tol.
+        indicator_gaps = np.abs(induced.values - choquet.induced_values())
+        indicator_mask = int(np.argmax(indicator_gaps))
+        indicator_gap = float(indicator_gaps[indicator_mask])
         if max(float(sample_gaps[sample_idx]), indicator_gap) > tol:
             if sample_gaps[sample_idx] >= indicator_gap:
                 bad = Gamble(space, samples[sample_idx])
@@ -626,7 +600,7 @@ def belief_consistency_audit(
 
     return AuditReport(
         space=space,
-        model_kind=_model_kind(pm),
+        model_kind=getattr(pm, "kind", type(pm).__name__),
         plan=plan,
         tolerances={"tol": tol, "exact_tol": exact_tol},
         coherence=probe_report,

@@ -48,13 +48,13 @@ from .setfn import (
     MassFunction,
     OutcomeSpace,
     SetFunction,
-    belief_to_mass,
+    _classify_mobius,
     make_space,
     mass_to_belief,
     mobius_transform,
 )
 
-_MODEL_KINDS = ("linear", "choquet", "lower_envelope")
+_MODEL_KINDS = tuple(model.kind for model in (LinearModel, ChoquetModel, LowerEnvelopeModel))
 
 
 # ---------------------------------------------------------------- loading
@@ -347,8 +347,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         raise SchemaError(
             f"direction 'mass' needs a belief table or model document, got kind {kind!r}"
         )
-    result = belief_to_mass(table, tol=args.tol)
     mob = mobius_transform(table.values)
+    result = _classify_mobius(table, mob, args.tol)
     if isinstance(result, MassFunction):
         if args.format == "machine":
             out_doc = {

@@ -90,6 +90,13 @@ def constant_gamble(space: OutcomeSpace, value: float) -> Gamble:
     return Gamble(space, np.full(space.n, float(value)))
 
 
+def _additive_values(space: OutcomeSpace, prob: np.ndarray) -> np.ndarray:
+    """Indicator prices under one probability vector: zeta of its singleton seed."""
+    seed = np.zeros(space.size)
+    seed[1 << np.arange(space.n)] = prob
+    return zeta_transform(seed)
+
+
 def _check_probability_vector(p: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise BeliefBetError(f"{what} must be finite")
@@ -108,6 +115,8 @@ class LinearModel:
     space: OutcomeSpace
     prob: np.ndarray
 
+    kind = "linear"
+
     def __post_init__(self) -> None:
         p = np.array(self.prob, dtype=float)
         if p.shape != (self.space.n,):
@@ -122,10 +131,7 @@ class LinearModel:
         return payoffs @ self.prob
 
     def induced_values(self) -> np.ndarray:
-        seed = np.zeros(self.space.size)
-        for i in range(self.space.n):
-            seed[1 << i] = self.prob[i]
-        return zeta_transform(seed)
+        return _additive_values(self.space, self.prob)
 
 
 def _focal_minima(masks: np.ndarray, payoff: np.ndarray) -> np.ndarray:
@@ -146,6 +152,8 @@ class ChoquetModel:
 
     mass: MassFunction
     _indices: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    kind = "choquet"
 
     def __post_init__(self) -> None:
         idx = tuple(
@@ -181,6 +189,8 @@ class LowerEnvelopeModel:
     space: OutcomeSpace
     rows: np.ndarray
 
+    kind = "lower_envelope"
+
     def __post_init__(self) -> None:
         r = np.array(self.rows, dtype=float)
         if r.ndim != 2 or r.shape[0] < 1 or r.shape[1] != self.space.n:
@@ -198,13 +208,7 @@ class LowerEnvelopeModel:
         return (payoffs @ self.rows.T).min(axis=1)
 
     def induced_values(self) -> np.ndarray:
-        tables = []
-        for row in self.rows:
-            seed = np.zeros(self.space.size)
-            for i in range(self.space.n):
-                seed[1 << i] = row[i]
-            tables.append(zeta_transform(seed))
-        return np.minimum.reduce(tables)
+        return np.minimum.reduce([_additive_values(self.space, row) for row in self.rows])
 
 
 PriceModel = Union[LinearModel, ChoquetModel, LowerEnvelopeModel]
@@ -237,9 +241,7 @@ def buy_batch(pm: PriceModel, payoffs: np.ndarray) -> np.ndarray:
 
 def choquet_expectation(mass: MassFunction, gamble: Gamble) -> float:
     """Focal-weighted worst case of a gamble: the lower expectation under ``mass``."""
-    _check_same_space(mass.space, gamble.space)
-    mins = _focal_minima(mass.mask_array, gamble.payoff)
-    return float(np.dot(mass.weight_array, mins))
+    return buy(ChoquetModel(mass), gamble)
 
 
 def induced_set_function(pm: PriceModel) -> SetFunction:

@@ -147,6 +147,32 @@ def _mobius_at(values: np.ndarray, subset: int) -> float:
     return float(np.dot(signs, values[sub]))
 
 
+def _dense_values(space: OutcomeSpace, values: np.ndarray, what: str) -> np.ndarray:
+    """A frozen float copy of a full 2^n table, checked for shape and finiteness."""
+    v = np.array(values, dtype=float)
+    if v.shape != (space.size,):
+        raise BeliefBetError(
+            f"need {space.size} values for a {space.n}-outcome space, got shape {v.shape}"
+        )
+    if not np.all(np.isfinite(v)):
+        raise BeliefBetError(f"{what} values must be finite")
+    return _frozen(v)
+
+
+def _check_endpoints(values: np.ndarray) -> None:
+    if abs(values[0]) > EXACT_TOL or abs(values[-1] - 1.0) > EXACT_TOL:
+        raise EndpointViolationError(
+            f"endpoints must be 0 and 1, got {values[0]!r} and {values[-1]!r}"
+        )
+
+
+def _fewest_outcomes(masks: np.ndarray) -> int:
+    """Canonical witness among ``masks``: fewest outcomes first, ties
+    broken toward the subset containing later outcomes."""
+    counts = np.bitwise_count(masks)
+    return int(masks[counts == counts.min()].max())
+
+
 @dataclass(frozen=True, eq=False)
 class SetFunction:
     """A raw real-valued function on all subsets; no axioms assumed."""
@@ -155,15 +181,7 @@ class SetFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        if v.shape != (self.space.size,):
-            raise BeliefBetError(
-                f"need {self.space.size} values for a {self.space.n}-outcome space, "
-                f"got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise BeliefBetError("set function values must be finite")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _dense_values(self.space, self.values, "set function"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,19 +244,9 @@ class BeliefFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        if v.shape != (self.space.size,):
-            raise BeliefBetError(
-                f"need {self.space.size} values for a {self.space.n}-outcome space, "
-                f"got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise BeliefBetError("belief values must be finite")
-        if abs(v[0]) > EXACT_TOL or abs(v[-1] - 1.0) > EXACT_TOL:
-            raise EndpointViolationError(
-                f"endpoints must be 0 and 1, got {v[0]!r} and {v[-1]!r}"
-            )
-        object.__setattr__(self, "values", _frozen(v))
+        v = _dense_values(self.space, self.values, "belief")
+        _check_endpoints(v)
+        object.__setattr__(self, "values", v)
 
     def as_set_function(self) -> SetFunction:
         return SetFunction(self.space, self.values)
@@ -258,7 +266,7 @@ class NegativeMassReport:
     def witness(self) -> int:
         """Canonical offending subset: fewest outcomes first, ties broken
         toward the subset containing later outcomes."""
-        return min(self.entries, key=lambda e: (e[0].bit_count(), -e[0]))[0]
+        return _fewest_outcomes(np.array([mask for mask, _ in self.entries]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,17 +300,19 @@ def belief_to_mass(
     and the weights renormalized; anything below -tol is reported as a
     genuine violation, one entry per offending subset.
     """
-    values = f.values
-    if abs(values[0]) > EXACT_TOL or abs(values[-1] - 1.0) > EXACT_TOL:
-        raise EndpointViolationError(
-            f"endpoints must be 0 and 1, got {values[0]!r} and {values[-1]!r}"
-        )
-    mob = mobius_transform(values)
+    return _classify_mobius(f, mobius_transform(f.values), tol)
+
+
+def _classify_mobius(
+    f: _TableLike, mob: np.ndarray, tol: float
+) -> MassFunction | NegativeMassReport:
+    """The classification half of :func:`belief_to_mass`, for callers that
+    already hold ``mob``, the Moebius transform of ``f.values``; it is only read."""
+    _check_endpoints(f.values)
     bad = np.flatnonzero(mob < -tol)
     if bad.size:
         entries = tuple((int(mask), float(mob[mask])) for mask in bad)
         return NegativeMassReport(f.space, entries, tol)
-    mob[mob < 0.0] = 0.0
     weights = {int(mask): float(mob[mask]) for mask in np.flatnonzero(mob > 0.0) if mask != 0}
     total = math.fsum(weights.values())
     if abs(total - 1.0) > tol:
@@ -329,7 +339,7 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     bad = np.flatnonzero(mob < -tol)
     if not bad.size:
         return BeliefCheck(True)
-    subset = int(min(bad, key=lambda m: (int(m).bit_count(), -int(m))))
+    subset = _fewest_outcomes(bad)
     family = tuple(
         sorted(subset ^ (1 << i) for i in range(f.space.n) if subset >> i & 1)
     ) if subset.bit_count() >= 2 else ()

@@ -112,3 +112,15 @@ def valuation_oracle(values, n):
         if values[a] == 1:
             core &= a
     return core, None
+
+
+def additivity_offenders_naive(values, n, tol):
+    """Every disjoint nonempty pair (a, b), a < b, whose union is priced
+    more than tol away from the sum of its parts."""
+    size = 1 << n
+    return {
+        (a, b)
+        for a in range(1, size)
+        for b in range(a + 1, size)
+        if a & b == 0 and abs(values[a | b] - values[a] - values[b]) > tol
+    }

@@ -1,13 +1,20 @@
 """Coherence probes, sure-loss exposure, probability checks, the
 belief-consistency audit, and certificate construction/verification."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import beliefbet as bb
 from conftest import mass_functions, random_mass, random_model, space_of
-from oracles import envelope_induced_naive, is_two_monotone, mobius_naive
+from oracles import (
+    additivity_offenders_naive,
+    envelope_induced_naive,
+    is_two_monotone,
+    mobius_naive,
+)
 
 
 class MaxOracle:
@@ -191,6 +198,98 @@ class TestProbabilityCheck:
             singleton = all(mask.bit_count() == 1 for mask in mass.weights)
             check = bb.probability_check(bb.ChoquetModel(mass))
             assert check.is_probability == singleton
+
+
+class TableModel:
+    """Duck-typed model that only quotes a fixed indicator-price table."""
+
+    def __init__(self, space, values):
+        self.space = space
+        self.values = values
+
+    def induced_values(self):
+        return self.values
+
+
+def near_additive_table(n, extra):
+    """A uniform probability plus the Moebius weights {0,1} = -0.8e-9,
+    {0,2} = -0.7e-9 and {0,1,2} = +1.5e-9 and any ``extra`` ones. The
+    three weights cancel on the split of {0,1,2} the primary check tries,
+    so the verdict needs the fallback."""
+    mob = np.zeros(1 << n)
+    mob[1 << np.arange(n)] = 1.0 / n
+    mob[0b011] += -0.8e-9
+    mob[0b101] += -0.7e-9
+    mob[0b111] += 1.5e-9
+    for mask, weight in extra.items():
+        mob[mask] += weight
+    return bb.zeta_transform(mob)
+
+
+class TestProbabilityFallback:
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_sub_tolerance_interference_has_no_witness(self, n):
+        sp = bb.make_space([f"w{i}" for i in range(n)])
+        pm = TableModel(sp, near_additive_table(n, {}))
+        start = time.perf_counter()
+        check = bb.probability_check(pm)
+        elapsed = time.perf_counter() - start
+        assert not check.is_probability
+        assert check.witness is None
+        assert elapsed < 0.1
+
+    def test_witnesses_are_real_disjoint_pairs(self):
+        rng = np.random.default_rng(77)
+        tol = 1e-9
+        witnessed = 0
+        for _ in range(60):
+            n = int(rng.integers(3, 6))
+            sp = space_of(n)
+            free = [m for m in range(sp.size) if m.bit_count() >= 2 and m not in (3, 5, 7)]
+            picks = rng.choice(free, size=min(3, len(free)), replace=False)
+            values = near_additive_table(
+                n, {int(m): float(rng.uniform(-0.9, 0.9)) * tol for m in picks}
+            )
+            # {0,1,2} stays the first offender and its split still cancels
+            assert abs(values[7] - values[1] - values[6]) <= tol
+            check = bb.probability_check(TableModel(sp, values), tol=tol)
+            assert not check.is_probability
+            oracle = additivity_offenders_naive(values, n, tol)
+            # first singleton extension: by union (popcount, mask), then lowest i
+            extensions = [(a | b, s) for a, b in oracle for s in (a, b) if s.bit_count() == 1]
+            expected = None
+            if extensions:
+                union, single = min(extensions, key=lambda e: (e[0].bit_count(), e[0], e[1]))
+                expected = tuple(sorted((single, union ^ single)))
+            assert check.witness == expected
+            if check.witness is not None:
+                witnessed += 1
+                assert check.witness in oracle
+        assert witnessed >= 10
+
+
+class TestSharedWitnessRule:
+    def test_three_witnesses_match_brute_force(self):
+        rng = np.random.default_rng(31)
+        plan = bb.SamplePlan(num_samples=16, num_ledgers=0)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            sp = bb.make_space([f"w{i}" for i in range(n)])
+            pm = random_model(rng, sp, "lower_envelope")
+            f = bb.induced_set_function(pm)
+            mob = bb.mobius_transform(f.values)
+            bad = [m for m in range(sp.size) if mob[m] < -1e-9]
+            if not bad:
+                continue
+            expected = min(bad, key=lambda m: (m.bit_count(), -m))
+            assert bb.is_belief_function(f).negative_subset == expected
+            assert bb.belief_to_mass(f).witness() == expected
+            if expected.bit_count() >= 2:
+                report = bb.belief_consistency_audit(pm, plan)
+                assert report.certificate.witness.subset == expected
+            checked += 1
+        assert checked >= 30
 
 
 class TestNegativeMassCertificate:

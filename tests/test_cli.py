@@ -2,8 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import beliefbet as bb
+import beliefbet.audit
+import beliefbet.cli
+import beliefbet.setfn
 from beliefbet.cli import main
 
 
@@ -317,3 +322,32 @@ class TestDutchbook:
         )
         ledger = write(tmp_path, "ledger.json", {"space": ["a", "b"], "buys": [], "sells": []})
         assert main(["dutchbook", model, ledger]) == 2
+
+
+class TestSingleMobiusPass:
+    @pytest.fixture
+    def mobius_calls(self, monkeypatch):
+        original = beliefbet.setfn.mobius_transform
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return original(values)
+
+        for module in (beliefbet.setfn, beliefbet.audit, beliefbet.cli):
+            monkeypatch.setattr(module, "mobius_transform", counting)
+        return calls
+
+    def test_one_pass_per_audit(self, mobius_calls):
+        sp = bb.make_space(REFERENCE_MODEL["space"])
+        consistent = bb.ChoquetModel(bb.MassFunction(sp, {0b0011: 0.4, 0b1110: 0.6}))
+        negative = bb.LowerEnvelopeModel(sp, np.array(REFERENCE_MODEL["rows"]))
+        for pm, verdict in ((consistent, True), (negative, False)):
+            mobius_calls.clear()
+            assert bb.belief_consistency_audit(pm).is_belief_consistent is verdict
+            assert len(mobius_calls) == 1
+
+    def test_one_pass_per_transform_to_mass(self, tmp_path, capsys, mobius_calls):
+        path = write(tmp_path, "model.json", REFERENCE_MODEL)
+        assert main(["transform", path, "--to", "mass"]) == 0
+        assert len(mobius_calls) == 1
