@@ -1,0 +1,207 @@
+"""Compare the command line outputs of two checkouts of beliefbet byte for byte.
+
+    python scripts/compare_outputs.py --base CHECKOUT [--docs N]
+
+Writes N seeded documents on 2 to 12 outcomes, cycling through six kinds:
+linear models, Choquet models with 1-40 focal sets, lower envelopes of 2-4
+rows, near-copy two-row envelopes, belief tables carrying Moebius noise of
+up to 1.6 tol, and belief tables of a signed mass. Every model document is
+audited in human and machine format, with default flags and with
+``--seed 7 --samples 64 --tol 1e-7``; every document goes through
+``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12.
+
+The runs execute once against this checkout's ``src`` and once against the
+base checkout's, each checkout in one subprocess. A run's exit code, its
+output without the timestamp line, and its stderr must all match. The script
+prints how many outputs it compared and how many differ, and exits 1 when
+any differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_TOL = 1e-9
+CORPUS_SEED = 2024
+KINDS = ("linear", "choquet", "envelope", "near_copy", "noisy_belief", "signed_belief")
+
+AUDIT_FLAGS = ([], ["--seed", "7", "--samples", "64", "--tol", "1e-7"])
+TRANSFORM_TOLS = ("1e-9", "1e-12")
+FORMATS = ("human", "machine")
+
+# Runs a list of argument vectors through one checkout's cli.main in a single
+# process and writes [exit code, stdout digest, stderr digest] per run.
+_RUNNER = r"""
+import contextlib, hashlib, io, json, os, sys
+
+src, jobs_path, out_path = sys.argv[1:4]
+sys.path.insert(0, src)
+import beliefbet.cli
+
+if not os.path.abspath(beliefbet.cli.__file__).startswith(os.path.abspath(src) + os.sep):
+    raise SystemExit(f"beliefbet was imported from {beliefbet.cli.__file__}, not {src}")
+
+
+def digest(text):
+    kept = [line for line in text.splitlines(keepends=True)
+            if not line.lstrip().startswith('"timestamp":')]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+with open(jobs_path) as fh:
+    jobs = json.load(fh)
+results = []
+for argv in jobs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = beliefbet.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    results.append([code, digest(out.getvalue()), digest(err.getvalue())])
+with open(out_path, "w") as fh:
+    json.dump(results, fh)
+"""
+
+
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    return raw / math.fsum(raw.tolist())
+
+
+def _key(labels: list[str], mask: int) -> str:
+    return ",".join(lab for i, lab in enumerate(labels) if mask >> i & 1)
+
+
+def _random_masks(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    count = min(count, (1 << n) - 1)
+    return 1 + rng.choice((1 << n) - 1, size=count, replace=False)
+
+
+def _belief_values(n: int, masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Bel(A) = sum of the weights of the masks inside A."""
+    subsets = np.arange(1 << n)
+    inside = (masks[None, :] & ~subsets[:, None]) == 0
+    return inside.astype(float) @ weights
+
+
+def _belief_doc(labels: list[str], values: np.ndarray) -> dict:
+    values[0] = 0.0
+    return {
+        "space": labels,
+        "kind": "belief",
+        "values": {_key(labels, m): float(v) for m, v in enumerate(values)},
+    }
+
+
+def make_document(seed: int, index: int) -> dict:
+    """Seeded document number ``index``; its kind cycles through KINDS."""
+    rng = np.random.default_rng([seed, index])
+    kind = KINDS[index % len(KINDS)]
+    n = int(rng.integers(2, 13))
+    labels = [f"o{i}" for i in range(n)]
+    if kind == "linear":
+        return {"space": labels, "kind": "linear",
+                "prob": _normalized(rng.uniform(0.05, 1.0, n)).tolist()}
+    if kind == "choquet":
+        masks = _random_masks(rng, n, int(rng.integers(1, 41)))
+        weights = _normalized(rng.uniform(0.05, 1.0, masks.size))
+        return {"space": labels, "kind": "choquet",
+                "mass": {_key(labels, int(m)): float(w) for m, w in zip(masks, weights)}}
+    if kind == "envelope":
+        rows = [_normalized(rng.uniform(0.05, 1.0, n)).tolist()
+                for _ in range(int(rng.integers(2, 5)))]
+        return {"space": labels, "kind": "lower_envelope", "rows": rows}
+    if kind == "near_copy":
+        p = _normalized(rng.uniform(0.05, 1.0, n))
+        d = rng.normal(size=n)
+        d -= d.mean()
+        d *= 10.0 ** rng.uniform(-11, -8) / np.abs(d).max()
+        return {"space": labels, "kind": "lower_envelope",
+                "rows": [p.tolist(), _normalized(p + d).tolist()]}
+    singletons = 1 << np.arange(n)
+    if kind == "noisy_belief":
+        # a probability or a Choquet mass, plus sub- and supra-tolerance noise
+        if rng.random() < 0.5:
+            masks, weights = singletons, _normalized(rng.uniform(0.05, 1.0, n))
+        else:
+            masks = _random_masks(rng, n, int(rng.integers(1, 41)))
+            weights = _normalized(rng.uniform(0.05, 1.0, masks.size))
+        noisy = _random_masks(rng, n, int(rng.integers(1, 9)))
+        noise = rng.uniform(-1.6, 1.6, noisy.size) * DEFAULT_TOL
+        masks = np.concatenate([masks, noisy, singletons[:1]])
+        weights = np.concatenate([weights, noise, [-math.fsum(noise.tolist())]])
+        return _belief_doc(labels, _belief_values(n, masks, weights))
+    # signed mass: some weights clearly negative, all summing to one
+    masks = _random_masks(rng, n, int(rng.integers(2, 21)))
+    raw = rng.uniform(0.05, 1.0, masks.size)
+    raw[rng.random(masks.size) < 0.3] *= -0.4
+    return _belief_doc(labels, _belief_values(n, masks, raw / math.fsum(raw.tolist())))
+
+
+def jobs_for(path: str, doc: dict) -> list[list[str]]:
+    jobs = []
+    if doc["kind"] != "belief":
+        for flags in AUDIT_FLAGS:
+            for fmt in FORMATS:
+                jobs.append(["audit", path, "--format", fmt, *flags])
+    for tol in TRANSFORM_TOLS:
+        for fmt in FORMATS:
+            jobs.append(["transform", path, "--to", "mass", "--format", fmt, "--tol", tol])
+    return jobs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="checkout to compare this one with")
+    parser.add_argument("--docs", type=int, default=400, help="number of documents")
+    args = parser.parse_args(argv)
+    base_src = Path(args.base).resolve() / "src"
+    if not (base_src / "beliefbet" / "cli.py").is_file():
+        parser.error(f"{args.base} has no src/beliefbet/cli.py")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        jobs = []
+        for index in range(args.docs):
+            path = work / f"doc{index:04d}.json"
+            doc = make_document(CORPUS_SEED, index)
+            path.write_text(json.dumps(doc))
+            jobs.extend(jobs_for(str(path), doc))
+        (work / "jobs.json").write_text(json.dumps(jobs))
+        procs = {
+            name: subprocess.Popen(
+                [sys.executable, "-c", _RUNNER, str(src), str(work / "jobs.json"),
+                 str(work / f"{name}.json")],
+                cwd=work,
+            )
+            for name, src in (("head", ROOT / "src"), ("base", base_src))
+        }
+        for name, proc in procs.items():
+            if proc.wait() != 0:
+                print(f"the {name} checkout's runner exited {proc.returncode}", file=sys.stderr)
+                return 2
+        head = json.loads((work / "head.json").read_text())
+        base = json.loads((work / "base.json").read_text())
+
+    fields = ("exit code", "output", "stderr")
+    differ = [(argv, h, b) for argv, h, b in zip(jobs, head, base) if h != b]
+    for argv, h, b in differ[:10]:
+        which = ", ".join(f for f, x, y in zip(fields, h, b) if x != y)
+        print(f"differs ({which}): beliefbet {' '.join(Path(a).name for a in argv)}")
+    print(f"compared {len(jobs)} outputs over {args.docs} documents: {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

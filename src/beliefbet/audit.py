@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Union
 
 import numpy as np
@@ -55,9 +54,13 @@ from .setfn import (
     NegativeMassReport,
     OutcomeSpace,
     SetFunction,
+    _butterfly,
     _classify_mobius,
+    _deletion_family,
     _fewest_outcomes,
+    _member_flags,
     _mobius_at,
+    _subfamily_intersections,
     belief_to_mass,
     mobius_transform,
 )
@@ -84,6 +87,8 @@ class SamplePlan:
             raise BeliefBetError(f"payoff_range must be a finite (low, high) pair, got {self.payoff_range}")
         if self.num_ledgers < 0:
             raise BeliefBetError("num_ledgers cannot be negative")
+        if self.seed < 0:
+            raise BeliefBetError(f"seed cannot be negative, got {self.seed}")
 
 
 def _rng(plan: SamplePlan, stream: int) -> np.random.Generator:
@@ -249,7 +254,7 @@ def _probability_verdict(
     offenders = np.flatnonzero((counts >= 2) & (np.abs(mob) > tol))
     if not offenders.size:
         return ProbabilityCheck(True)
-    star = int(min(offenders, key=lambda m: (int(m).bit_count(), int(m))))
+    star = _fewest_outcomes(offenders, lowest=True)
     a = star & -star
     b = star ^ a
     if abs(values[star] - values[a] - values[b]) > tol:
@@ -267,12 +272,10 @@ def _probability_verdict(
     unions = np.flatnonzero(offending)
     if not unions.size:
         return ProbabilityCheck(False)
-    counts = np.bitwise_count(unions)
-    union = int(unions[counts == counts.min()].min())
-    single = next(
-        1 << i for i in range(space.n)
-        if union >> i & 1 and abs(values[union] - values[union ^ (1 << i)] - values[1 << i]) > tol
-    )
+    union = _fewest_outcomes(unions, lowest=True)
+    singles = 1 << np.flatnonzero(_member_flags(union, space.n))
+    gaps = np.abs(values[union] - values[union ^ singles] - values[singles])
+    single = int(singles[np.argmax(gaps > tol)])
     rest = union ^ single
     return ProbabilityCheck(False, (min(rest, single), max(rest, single)))
 
@@ -333,10 +336,12 @@ def _subset_minima(payoff: np.ndarray) -> np.ndarray:
     """mins[mask] = min of payoff over the outcomes of mask (inf at 0)."""
     n = payoff.shape[0]
     mins = np.full(1 << n, np.inf)
-    for b in range(n):
-        v = mins.reshape(-1, 2, 1 << b)
-        v[:, 1, :] = np.minimum(v[:, 0, :], payoff[b])
-    return mins
+    mins[1 << np.arange(n)] = payoff
+    return _butterfly(mins, np.minimum)
+
+
+def _indicators(space: OutcomeSpace, masks: np.ndarray) -> tuple[Gamble, ...]:
+    return tuple(Gamble(space, row) for row in _member_flags(masks, space.n).astype(float))
 
 
 def certificate_from_negative_mass(
@@ -361,34 +366,24 @@ def certificate_from_negative_mass(
         raise NotNegativeError(
             f"inverted weight at subset {subset} is {mass_value!r}, not below {-tol}"
         )
-    family = sorted(subset ^ (1 << i) for i in range(space.n) if subset >> i & 1)
-
-    best_pair = None
-    best_slack = -tol
-    for a, b in combinations(family, 2):
-        pair_slack = float(f.values[subset] + f.values[a & b] - f.values[a] - f.values[b])
-        if pair_slack < best_slack:
-            best_pair, best_slack = (a, b), pair_slack
-    if best_pair is not None:
-        a, b = best_pair
-        xs = (indicator(space, a), indicator(space, b))
-        ys = (indicator(space, subset), indicator(space, a & b))
-        gap = -best_slack
+    family = _deletion_family(subset, space.n)
+    values = f.values
+    # every pair of family members in lexicographic order; argmin keeps the first minimum
+    i, j = np.triu_indices(family.shape[0], 1)
+    a, b = family[i], family[j]
+    pair_slack = values[subset] + values[a & b] - values[a] - values[b]
+    best = int(np.argmin(pair_slack))
+    if pair_slack[best] < -tol:
+        xs_masks = np.array([a[best], b[best]])
+        ys_masks = np.array([subset, a[best] & b[best]])
+        gap = -float(pair_slack[best])
     else:
-        count = len(family)
-        xs_masks: list[int] = []
-        ys_masks: list[int] = [subset]  # the union of the family
-        for picks in range(1, 1 << count):
-            inter = space.full_mask
-            for i in range(count):
-                if picks >> i & 1:
-                    inter &= family[i]
-            (xs_masks if picks.bit_count() & 1 else ys_masks).append(inter)
-        xs = tuple(indicator(space, m) for m in xs_masks)
-        ys = tuple(indicator(space, m) for m in ys_masks)
-        gap = math.fsum(float(f.values[m]) for m in xs_masks) - math.fsum(
-            float(f.values[m]) for m in ys_masks
-        )
+        inter, odd = _subfamily_intersections(space.full_mask, family)
+        xs_masks = inter[odd]
+        ys_masks = np.concatenate(([subset], inter[~odd]))  # the union of the family first
+        gap = math.fsum(values[xs_masks].tolist()) - math.fsum(values[ys_masks].tolist())
+    xs = _indicators(space, xs_masks)
+    ys = _indicators(space, ys_masks)
     return ViolationCertificate(
         space=space,
         xs=xs,
@@ -467,16 +462,13 @@ def verify_certificate(
     exceeds that of ``ys`` by more than ``tol``.
     """
     _check_same_space(pm.space, cert.space)
-    size = cert.space.size
-    revenue_x = np.zeros(size)
-    revenue_y = np.zeros(size)
-    for g in cert.xs:
-        _check_same_space(cert.space, g.space)
-        revenue_x += _subset_minima(g.payoff)
-    for g in cert.ys:
-        _check_same_space(cert.space, g.space)
-        revenue_y += _subset_minima(g.payoff)
     # an empty side sums to the zero table, which is its zero revenue
+    revenue = np.zeros((2, cert.space.size))
+    for row, side in zip(revenue, (cert.xs, cert.ys)):
+        for g in side:
+            _check_same_space(cert.space, g.space)
+            row += _subset_minima(g.payoff)
+    revenue_x, revenue_y = revenue
     if not np.all(revenue_x[1:] <= revenue_y[1:] + exact_tol):
         return False
     bought_x = math.fsum(buy(pm, g) for g in cert.xs)

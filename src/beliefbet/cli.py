@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Any, Sequence
@@ -260,10 +261,7 @@ def _describe_gamble(space: OutcomeSpace, g: Gamble) -> str:
     distinct = set(float(v) for v in g.payoff[nonzero])
     if len(distinct) == 1 and nonzero.size:
         w = distinct.pop()
-        mask = 0
-        for i in nonzero:
-            mask |= 1 << int(i)
-        body = "{" + subset_key(space, mask) + "}"
+        body = "{" + subset_key(space, int((1 << nonzero).sum())) + "}"
         return f"1_{body}" if w == 1.0 else f"{_fmt(w)}*1_{body}"
     if not nonzero.size:
         return "0"
@@ -364,7 +362,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             _emit("\n".join(lines) + "\n", args.out)
         return 0
     negatives = dict(result.entries)
-    visible = [m for m in range(space.size) if abs(mob[m]) > EXACT_TOL]
+    visible = np.flatnonzero(np.abs(mob) > EXACT_TOL).tolist()
     if args.format == "machine":
         out_doc = {
             "space": list(space.labels),
@@ -526,10 +524,21 @@ def _cmd_dutchbook(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ main
 
 
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative ``--tol``; anything else is malformed input."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     parser.add_argument("--out", default=None, help="write output to this file")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
 
 def _build_parser() -> argparse.ArgumentParser:

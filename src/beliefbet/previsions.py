@@ -29,7 +29,9 @@ from .setfn import (
     MassFunction,
     OutcomeSpace,
     SetFunction,
+    _butterfly,
     _frozen,
+    _member_flags,
     zeta_transform,
 )
 
@@ -79,11 +81,7 @@ class Gamble:
 def indicator(space: OutcomeSpace, mask: int) -> Gamble:
     """The gamble paying 1 on the outcomes of ``mask`` and 0 elsewhere."""
     space.check_mask(mask)
-    payoff = np.zeros(space.n)
-    for i in range(space.n):
-        if mask >> i & 1:
-            payoff[i] = 1.0
-    return Gamble(space, payoff)
+    return Gamble(space, _member_flags(mask, space.n).astype(float))
 
 
 def constant_gamble(space: OutcomeSpace, value: float) -> Gamble:
@@ -156,13 +154,8 @@ class ChoquetModel:
     kind = "choquet"
 
     def __post_init__(self) -> None:
-        idx = tuple(
-            np.fromiter(
-                (i for i in range(self.space.n) if mask >> i & 1), dtype=np.intp
-            )
-            for mask in self.mass.weights
-        )
-        object.__setattr__(self, "_indices", idx)
+        flags = _member_flags(self.mass.mask_array, self.space.n)
+        object.__setattr__(self, "_indices", tuple(np.flatnonzero(row) for row in flags))
 
     @property
     def space(self) -> OutcomeSpace:
@@ -341,35 +334,24 @@ def is_belief_valuation(f: SetFunction) -> ValuationCheck:
     if np.any(clash):
         mask = int(np.flatnonzero(clash)[0])
         return ValuationCheck(None, f"complement clash: {mask} and its complement both valued 1")
-    up = np.array(ones)
-    n = f.space.n
-    for b in range(n):
-        v = up.reshape(-1, 2, 1 << b)
-        v[:, 1, :] |= v[:, 0, :]
+    up = _butterfly(np.array(ones), np.logical_or)
     drop = up & ~ones
     if np.any(drop):
         mask = int(np.flatnonzero(drop)[0])
         return ValuationCheck(None, f"monotonicity: value drops to 0 on superset {mask}")
     believed = np.flatnonzero(ones)
-    if believed.size:
-        cur = int(believed[0])
-        for a in believed[1:]:
-            nxt = cur & int(a)
-            if not ones[nxt]:
-                return ValuationCheck(
-                    None, f"intersection closure: {cur} and {int(a)} valued 1 but {nxt} is not"
-                )
-            cur = nxt
+    running = np.bitwise_and.accumulate(believed)
+    broken = np.flatnonzero(~ones[running])
+    if broken.size:
+        j = int(broken[0])
+        return ValuationCheck(None, f"intersection closure: {running[j - 1]} and {believed[j]} "
+                                    f"valued 1 but {running[j]} is not")
     if not ones[-1]:
         return ValuationCheck(None, "the whole space is not fully believed")
-    core = f.space.full_mask
-    for a in believed:
-        core &= int(a)
-    return ValuationCheck(BeliefValuation(f.space, core))
+    return ValuationCheck(BeliefValuation(f.space, int(running[-1])))
 
 
 def guaranteed_revenue(valuation: BeliefValuation, gamble: Gamble) -> float:
     """Worst payoff of the gamble over the valuation's core."""
     _check_same_space(valuation.space, gamble.space)
-    idx = [i for i in range(valuation.space.n) if valuation.core >> i & 1]
-    return float(gamble.payoff[idx].min())
+    return float(gamble.payoff[_member_flags(valuation.core, valuation.space.n)].min())

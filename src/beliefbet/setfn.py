@@ -5,6 +5,11 @@ outcome i belongs to the subset. Set functions are stored densely as float
 arrays of length 2^n indexed by that mask, which keeps the O(n 2^n)
 subset-sum (zeta) and Moebius transforms contiguous and cache friendly.
 
+Every lattice pass is one butterfly, :func:`_butterfly`, with the operator
+deciding what it computes: ``np.add`` the zeta transform, ``np.subtract``
+the Moebius transform, ``np.logical_or`` the up-closure of a family of sets,
+and ``np.minimum`` seeded at the singletons a payoff's minimum on every subset.
+
 Every value here is immutable after construction and every operation is a
 pure function of its inputs, so concurrent use needs no locking.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -112,17 +118,19 @@ def _table_bits(size: int) -> int:
     return n
 
 
-def zeta_transform(values: np.ndarray) -> np.ndarray:
-    """Subset-sum transform: out[A] = sum of values[B] over all B inside A.
-
-    One butterfly pass per bit, O(n 2^n) on the dense table.
-    """
-    out = np.array(values, dtype=float)
-    n = _table_bits(out.shape[0])
+def _butterfly(table: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """In place, for each bit b and each A holding b: table[A] = op(table[A],
+    table[A - {b}]). O(n 2^n) on a dense table of length 2^n; returns ``table``."""
+    n = _table_bits(table.shape[0])
     for b in range(n):
-        v = out.reshape(-1, 2, 1 << b)
-        v[:, 1, :] += v[:, 0, :]
-    return out
+        v = table.reshape(-1, 2, 1 << b)
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return table
+
+
+def zeta_transform(values: np.ndarray) -> np.ndarray:
+    """Subset-sum transform: out[A] = sum of values[B] over all B inside A."""
+    return _butterfly(np.array(values, dtype=float), np.add)
 
 
 def mobius_transform(values: np.ndarray) -> np.ndarray:
@@ -130,12 +138,29 @@ def mobius_transform(values: np.ndarray) -> np.ndarray:
 
     out[A] = sum over B inside A of (-1)^|A minus B| values[B].
     """
-    out = np.array(values, dtype=float)
-    n = _table_bits(out.shape[0])
-    for b in range(n):
-        v = out.reshape(-1, 2, 1 << b)
-        v[:, 1, :] -= v[:, 0, :]
-    return out
+    return _butterfly(np.array(values, dtype=float), np.subtract)
+
+
+def _member_flags(masks: int | np.ndarray, n: int) -> np.ndarray:
+    """out[..., i] is True iff outcome i belongs to the mask."""
+    return (np.asarray(masks)[..., None] >> np.arange(n) & 1).astype(bool)
+
+
+def _deletion_family(subset: int, n: int) -> np.ndarray:
+    """The one-element deletions of ``subset``, in ascending mask order."""
+    return np.sort(subset ^ 1 << np.flatnonzero(_member_flags(subset, n)))
+
+
+def _subfamily_intersections(top: int, masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Intersections of the nonempty subfamilies I of ``masks`` (bit i of I picks
+    masks[i]; entry I - 1) and whether |I| is odd, doubling one member at a time."""
+    inter = np.empty(1 << len(masks), dtype=np.int64)
+    inter[0] = top
+    for i, a in enumerate(masks):
+        lo = 1 << i
+        inter[lo : 2 * lo] = inter[:lo] & a
+    odd = (np.bitwise_count(np.arange(1, inter.shape[0])) & 1).astype(bool)
+    return inter[1:], odd
 
 
 def _mobius_at(values: np.ndarray, subset: int) -> float:
@@ -166,11 +191,12 @@ def _check_endpoints(values: np.ndarray) -> None:
         )
 
 
-def _fewest_outcomes(masks: np.ndarray) -> int:
-    """Canonical witness among ``masks``: fewest outcomes first, ties
-    broken toward the subset containing later outcomes."""
+def _fewest_outcomes(masks: np.ndarray, *, lowest: bool = False) -> int:
+    """Canonical witness among ``masks``: fewest outcomes first, ties broken
+    toward the subset containing later outcomes, or the lowest mask if ``lowest``."""
     counts = np.bitwise_count(masks)
-    return int(masks[counts == counts.min()].max())
+    tied = masks[counts == counts.min()]
+    return int(tied.min() if lowest else tied.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,12 +287,12 @@ class NegativeMassReport:
     tol: float
 
     def worst(self) -> tuple[int, float]:
-        return min(self.entries, key=lambda e: e[1])
+        return min(self.entries, key=itemgetter(1))
 
     def witness(self) -> int:
         """Canonical offending subset: fewest outcomes first, ties broken
         toward the subset containing later outcomes."""
-        return _fewest_outcomes(np.array([mask for mask, _ in self.entries]))
+        return _fewest_outcomes(np.array(self.entries).reshape(-1, 2)[:, 0].astype(np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +366,7 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     if not bad.size:
         return BeliefCheck(True)
     subset = _fewest_outcomes(bad)
-    family = tuple(
-        sorted(subset ^ (1 << i) for i in range(f.space.n) if subset >> i & 1)
-    ) if subset.bit_count() >= 2 else ()
+    family = tuple(_deletion_family(subset, f.space.n).tolist()) if subset.bit_count() >= 2 else ()
     return BeliefCheck(
         False,
         reason=f"subset {subset} carries weight {mob[subset]!r}",
@@ -366,17 +390,9 @@ def inclusion_exclusion_slack(f: _TableLike, family: Sequence[int]) -> float:
         raise FamilyTooLargeError(
             f"family of {len(masks)} sets exceeds the {MAX_FAMILY_SIZE} cap"
         )
-    count = len(masks)
-    inter = np.empty(1 << count, dtype=np.int64)
-    inter[0] = f.space.full_mask
-    union = 0
-    for i, a in enumerate(masks):
-        lo = 1 << i
-        inter[lo : 2 * lo] = inter[:lo] & a
-        union |= a
-    idx = np.arange(1, 1 << count)
-    signs = np.where((np.bitwise_count(idx) & 1).astype(bool), 1.0, -1.0)
-    alternating = float(np.dot(signs, f.values[inter[1:]]))
+    inter, odd = _subfamily_intersections(f.space.full_mask, masks)
+    union = int(np.bitwise_or.reduce(masks))
+    alternating = float(np.dot(np.where(odd, 1.0, -1.0), f.values[inter]))
     return float(f.values[union]) - alternating
 
 

@@ -114,6 +114,23 @@ def valuation_oracle(values, n):
     return core, None
 
 
+def intersection_walk_naive(values, n):
+    """Running intersection over the fully believed sets in ascending mask
+    order, stopping at the first one it meets whose intersection with the
+    running value is not fully believed. Returns (running, mask,
+    intersection) at that point, or None if the walk completes."""
+    believed = [a for a in range(1 << n) if values[a] == 1]
+    if not believed:
+        return None
+    cur = believed[0]
+    for a in believed[1:]:
+        nxt = cur & a
+        if values[nxt] != 1:
+            return cur, a, nxt
+        cur = nxt
+    return None
+
+
 def additivity_offenders_naive(values, n, tol):
     """Every disjoint nonempty pair (a, b), a < b, whose union is priced
     more than tol away from the sum of its parts."""

@@ -17,6 +17,12 @@ from oracles import (
 )
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(bb.BeliefBetError, match="seed"):
+        bb.SamplePlan(seed=-1)
+    assert bb.SamplePlan(seed=0).seed == 0
+
+
 class MaxOracle:
     """Adversarial non-model: prices every gamble at its best payoff.
 
@@ -266,6 +272,37 @@ class TestProbabilityFallback:
                 witnessed += 1
                 assert check.witness in oracle
         assert witnessed >= 10
+
+
+class TestPrimaryWitness:
+    def test_split_of_the_first_offender(self):
+        # star is the first subset by (popcount, mask) with a non-singleton
+        # weight beyond tol; when its split into the lowest outcome and the
+        # rest is priced non-additively, that split is the witness.
+        rng = np.random.default_rng(58)
+        tol = 1e-9
+        split_witnesses = 0
+        for kind in ("linear", "choquet", "lower_envelope"):
+            for _ in range(40):
+                sp = space_of(int(rng.integers(2, 7)))
+                pm = random_model(rng, sp, kind)
+                values = bb.induced_set_function(pm).values.tolist()
+                mob = mobius_naive(values)
+                offenders = [
+                    m for m in range(sp.size) if m.bit_count() >= 2 and abs(mob[m]) > tol
+                ]
+                check = bb.probability_check(pm, tol=tol)
+                if not offenders:
+                    assert check.is_probability
+                    continue
+                star = min(offenders, key=lambda m: (m.bit_count(), m))
+                a = star & -star
+                b = star ^ a
+                assert not check.is_probability
+                if abs(values[star] - values[a] - values[b]) > tol:
+                    assert check.witness == (a, b)
+                    split_witnesses += 1
+        assert split_witnesses >= 40
 
 
 class TestSharedWitnessRule:

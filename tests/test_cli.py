@@ -280,6 +280,51 @@ class TestAudit:
         assert main(["audit", model]) == 2
 
 
+class TestBadFlags:
+    @pytest.fixture
+    def commands(self, tmp_path):
+        model = write(tmp_path, "model.json", REFERENCE_MODEL)
+        gambles = write(
+            tmp_path, "gambles.json", {"space": ["1", "2", "3", "4"], "gambles": [{"payoff": [1, 0, 0, 0]}]}
+        )
+        ledger = write(
+            tmp_path,
+            "ledger.json",
+            {"space": ["1", "2", "3", "4"], "buys": [{"payoff": [0, 0, 0, 0], "price": 1.0}]},
+        )
+        return {
+            "audit": ["audit", model],
+            "transform": ["transform", model, "--to", "mass"],
+            "price": ["price", model, gambles],
+            "dutchbook": ["dutchbook", model, ledger],
+        }
+
+    @pytest.mark.parametrize(
+        "flag", ["--tol=nan", "--tol=inf", "--tol=-1e-9", "--tol=-0.5", "--tol=x"]
+    )
+    @pytest.mark.parametrize("command", ["audit", "transform", "price", "dutchbook"])
+    def test_bad_tolerance_exits_two(self, commands, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(commands[command] + [flag])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    def test_bad_tolerance_as_separate_argument(self, commands, value):
+        with pytest.raises(SystemExit) as exc:
+            main(commands["audit"] + ["--tol", value])
+        assert exc.value.code == 2
+
+    def test_zero_tolerance_stays_valid(self, commands, capsys):
+        assert main(commands["dutchbook"] + ["--tol", "0"]) == 0
+        assert "DUTCH BOOK" in capsys.readouterr().out
+        assert main(commands["audit"] + ["--tol", "0"]) == 1
+
+    def test_negative_seed_exits_two(self, commands, capsys):
+        assert main(commands["audit"] + ["--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
 class TestDutchbook:
     def test_model_priced_ledger(self, tmp_path, capsys):
         model = write(tmp_path, "model.json", REFERENCE_MODEL)

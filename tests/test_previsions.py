@@ -21,6 +21,7 @@ from conftest import (
 from oracles import (
     choquet_naive,
     envelope_buy_naive,
+    intersection_walk_naive,
     linear_induced_naive,
     valuation_oracle,
 )
@@ -314,6 +315,11 @@ class TestIsBeliefValuation:
                     4: "whole space",
                 }[bullet]
                 assert expected_reason in check.reason
+                if bullet == 3:
+                    cur, a, nxt = intersection_walk_naive(values.tolist(), 3)
+                    assert check.reason == (
+                        f"intersection closure: {cur} and {a} valued 1 but {nxt} is not"
+                    )
 
 
 class TestInducedSetFunction:
