@@ -13,13 +13,15 @@ audited in human and machine format, with default flags and with
 The runs execute once against this checkout's ``src`` and once against the
 base checkout's, each checkout in one subprocess. A run's exit code, its
 output without the timestamp line, and its stderr must all match. The script
-prints how many outputs it compared and how many differ, and exits 1 when
-any differ.
+prints each differing run with the first line where the base and this
+checkout part, then how many outputs it compared and how many differ, and
+exits 1 when any differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import subprocess
@@ -39,11 +41,12 @@ TRANSFORM_TOLS = ("1e-9", "1e-12")
 FORMATS = ("human", "machine")
 
 # Runs a list of argument vectors through one checkout's cli.main in a single
-# process and writes [exit code, stdout digest, stderr digest] per run.
+# process and writes [exit code, stdout, stderr] per run, the streams as
+# digests in "digest" mode and as text in "text" mode.
 _RUNNER = r"""
 import contextlib, hashlib, io, json, os, sys
 
-src, jobs_path, out_path = sys.argv[1:4]
+src, jobs_path, out_path, mode = sys.argv[1:5]
 sys.path.insert(0, src)
 import beliefbet.cli
 
@@ -51,10 +54,10 @@ if not os.path.abspath(beliefbet.cli.__file__).startswith(os.path.abspath(src) +
     raise SystemExit(f"beliefbet was imported from {beliefbet.cli.__file__}, not {src}")
 
 
-def digest(text):
-    kept = [line for line in text.splitlines(keepends=True)
-            if not line.lstrip().startswith('"timestamp":')]
-    return hashlib.sha256("".join(kept).encode()).hexdigest()
+def kept(text):
+    body = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.lstrip().startswith('"timestamp":'))
+    return body if mode == "text" else hashlib.sha256(body.encode()).hexdigest()
 
 
 with open(jobs_path) as fh:
@@ -69,7 +72,7 @@ for argv in jobs:
             code = exc.code
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
-    results.append([code, digest(out.getvalue()), digest(err.getvalue())])
+    results.append([code, kept(out.getvalue()), kept(err.getvalue())])
 with open(out_path, "w") as fh:
     json.dump(results, fh)
 """
@@ -161,6 +164,36 @@ def jobs_for(path: str, doc: dict) -> list[list[str]]:
     return jobs
 
 
+def _run_both(
+    work: Path, jobs: list[list[str]], base_src: Path, mode: str
+) -> tuple[list, list] | None:
+    """[exit code, stdout, stderr] per job from this checkout and from the base."""
+    (work / "jobs.json").write_text(json.dumps(jobs))
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _RUNNER, str(src), str(work / "jobs.json"),
+             str(work / f"{name}.json"), mode],
+            cwd=work,
+        )
+        for name, src in (("head", ROOT / "src"), ("base", base_src))
+    }
+    for name, proc in procs.items():
+        if proc.wait() != 0:
+            print(f"the {name} checkout's runner exited {proc.returncode}", file=sys.stderr)
+            return None
+    return (json.loads((work / "head.json").read_text()),
+            json.loads((work / "base.json").read_text()))
+
+
+def first_difference(base: str, head: str) -> tuple[str, str]:
+    """The first line where two texts part, "<end>" standing for a missing line."""
+    base_lines, head_lines = base.splitlines(), head.splitlines()
+    for b, h in itertools.zip_longest(base_lines, head_lines, fillvalue="<end>"):
+        if b != h:
+            return b, h
+    return "<end>", "<end>"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="checkout to compare this one with")
@@ -178,27 +211,24 @@ def main(argv: list[str] | None = None) -> int:
             doc = make_document(CORPUS_SEED, index)
             path.write_text(json.dumps(doc))
             jobs.extend(jobs_for(str(path), doc))
-        (work / "jobs.json").write_text(json.dumps(jobs))
-        procs = {
-            name: subprocess.Popen(
-                [sys.executable, "-c", _RUNNER, str(src), str(work / "jobs.json"),
-                 str(work / f"{name}.json")],
-                cwd=work,
-            )
-            for name, src in (("head", ROOT / "src"), ("base", base_src))
-        }
-        for name, proc in procs.items():
-            if proc.wait() != 0:
-                print(f"the {name} checkout's runner exited {proc.returncode}", file=sys.stderr)
-                return 2
-        head = json.loads((work / "head.json").read_text())
-        base = json.loads((work / "base.json").read_text())
+        digests = _run_both(work, jobs, base_src, "digest")
+        if digests is None:
+            return 2
+        differ = [argv for argv, h, b in zip(jobs, *digests) if h != b]
+        texts = _run_both(work, differ, base_src, "text") if differ else ([], [])
+        if texts is None:
+            return 2
 
     fields = ("exit code", "output", "stderr")
-    differ = [(argv, h, b) for argv, h, b in zip(jobs, head, base) if h != b]
-    for argv, h, b in differ[:10]:
-        which = ", ".join(f for f, x, y in zip(fields, h, b) if x != y)
-        print(f"differs ({which}): beliefbet {' '.join(Path(a).name for a in argv)}")
+    for argv, h, b in zip(differ, *texts):
+        which = [k for k, (x, y) in enumerate(zip(h, b)) if x != y]
+        names = ", ".join(fields[k] for k in which)
+        print(f"differs ({names}): beliefbet {' '.join(Path(a).name for a in argv)}")
+        for k in which[:1]:
+            base_line, head_line = (
+                (f"exit {b[0]}", f"exit {h[0]}") if k == 0 else first_difference(b[k], h[k])
+            )
+            print(f"  base:   {base_line}\n  change: {head_line}")
     print(f"compared {len(jobs)} outputs over {args.docs} documents: {len(differ)} differ")
     return 1 if differ else 0
 

@@ -59,7 +59,6 @@ from .setfn import (
     _deletion_family,
     _fewest_outcomes,
     _member_flags,
-    _mobius_at,
     _subfamily_intersections,
     belief_to_mass,
     mobius_transform,
@@ -332,14 +331,6 @@ class ViolationCertificate:
         return self.witness.kind
 
 
-def _subset_minima(payoff: np.ndarray) -> np.ndarray:
-    """mins[mask] = min of payoff over the outcomes of mask (inf at 0)."""
-    n = payoff.shape[0]
-    mins = np.full(1 << n, np.inf)
-    mins[1 << np.arange(n)] = payoff
-    return _butterfly(mins, np.minimum)
-
-
 def _indicators(space: OutcomeSpace, masks: np.ndarray) -> tuple[Gamble, ...]:
     return tuple(Gamble(space, row) for row in _member_flags(masks, space.n).astype(float))
 
@@ -361,13 +352,17 @@ def certificate_from_negative_mass(
         raise SingletonCoreError(
             f"subset {subset} has fewer than two outcomes; no family can witness it"
         )
-    mass_value = _mobius_at(f.values, subset)
+    # the Moebius pass on the sublattice of subset repeats the full pass's
+    # operations there in the same order, so its top entry has the same bits
+    singles = 1 << np.flatnonzero(_member_flags(subset, space.n))
+    inside = _member_flags(np.arange(1 << singles.size), singles.size) @ singles
+    values = f.values
+    mass_value = float(_butterfly(values[inside], np.subtract)[-1])
     if mass_value >= -tol:
         raise NotNegativeError(
             f"inverted weight at subset {subset} is {mass_value!r}, not below {-tol}"
         )
     family = _deletion_family(subset, space.n)
-    values = f.values
     # every pair of family members in lexicographic order; argmin keeps the first minimum
     i, j = np.triu_indices(family.shape[0], 1)
     a, b = family[i], family[j]
@@ -460,16 +455,29 @@ def verify_certificate(
     worst-case revenue of ``xs`` stays below that of ``ys`` (within
     ``exact_tol``), and the model's summed buy price of ``xs`` strictly
     exceeds that of ``ys`` by more than ``tol``.
+
+    The revenues come from the layer cake: on a core C, a gamble X sorted as
+    x_1 <= ... <= x_n earns min X plus x_j - x_(j-1) for every j >= 2 with
+    C inside {X >= x_j}. The signed widths of both sides go into one 2^n
+    table at their upper sets, so one superset-sum pass plus the signed sum
+    of the minima gives revenue_x - revenue_y on every core, in O(n 2^n)
+    for the whole certificate plus a sort of each gamble.
     """
     _check_same_space(pm.space, cert.space)
-    # an empty side sums to the zero table, which is its zero revenue
-    revenue = np.zeros((2, cert.space.size))
-    for row, side in zip(revenue, (cert.xs, cert.ys)):
-        for g in side:
-            _check_same_space(cert.space, g.space)
-            row += _subset_minima(g.payoff)
-    revenue_x, revenue_y = revenue
-    if not np.all(revenue_x[1:] <= revenue_y[1:] + exact_tol):
+    gambles = cert.xs + cert.ys
+    for g in gambles:
+        _check_same_space(cert.space, g.space)
+    signs = np.repeat((1.0, -1.0), (len(cert.xs), len(cert.ys)))
+    payoffs = np.array([g.payoff for g in gambles]).reshape(-1, cert.space.n)
+    order = np.argsort(payoffs, axis=1)
+    levels = np.take_along_axis(payoffs, order, axis=1)
+    # upper[:, j] is {X >= levels[:, j]} wherever widths[:, j - 1] is nonzero
+    upper = np.bitwise_or.accumulate((1 << order)[:, ::-1], axis=1)[:, ::-1]
+    widths = signs[:, None] * np.diff(levels, axis=1)
+    table = np.bincount(upper[:, 1:].ravel(), widths.ravel(), minlength=cert.space.size)
+    # the subset sums of the reversed table are the superset sums
+    gap = _butterfly(table[::-1], np.add)[::-1] + math.fsum((signs * levels[:, 0]).tolist())
+    if not np.all(gap[1:] <= exact_tol):
         return False
     bought_x = math.fsum(buy(pm, g) for g in cert.xs)
     bought_y = math.fsum(buy(pm, g) for g in cert.ys)

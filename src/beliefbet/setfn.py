@@ -6,9 +6,9 @@ arrays of length 2^n indexed by that mask, which keeps the O(n 2^n)
 subset-sum (zeta) and Moebius transforms contiguous and cache friendly.
 
 Every lattice pass is one butterfly, :func:`_butterfly`, with the operator
-deciding what it computes: ``np.add`` the zeta transform, ``np.subtract``
-the Moebius transform, ``np.logical_or`` the up-closure of a family of sets,
-and ``np.minimum`` seeded at the singletons a payoff's minimum on every subset.
+deciding what it computes: ``np.add`` the zeta transform (on a reversed
+table, the sum over supersets), ``np.subtract`` the Moebius transform, and
+``np.logical_or`` the up-closure of a family of sets.
 
 Every value here is immutable after construction and every operation is a
 pure function of its inputs, so concurrent use needs no locking.
@@ -161,15 +161,6 @@ def _subfamily_intersections(top: int, masks: Sequence[int]) -> tuple[np.ndarray
         inter[lo : 2 * lo] = inter[:lo] & a
     odd = (np.bitwise_count(np.arange(1, inter.shape[0])) & 1).astype(bool)
     return inter[1:], odd
-
-
-def _mobius_at(values: np.ndarray, subset: int) -> float:
-    """Single Moebius coefficient, evaluated by direct alternating sum."""
-    size = values.shape[0]
-    idx = np.arange(size)
-    sub = idx[(idx & ~subset) == 0]
-    signs = np.where((np.bitwise_count(subset ^ sub) & 1).astype(bool), -1.0, 1.0)
-    return float(np.dot(signs, values[sub]))
 
 
 def _dense_values(space: OutcomeSpace, values: np.ndarray, what: str) -> np.ndarray:

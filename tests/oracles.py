@@ -40,6 +40,11 @@ def min_over(mask, payoff):
     return min(payoff[i] for i in bits(mask))
 
 
+def subset_minima_naive(payoff):
+    """out[mask] = min of payoff over the outcomes of mask (inf at 0)."""
+    return [math.inf] + [min_over(mask, payoff) for mask in range(1, 1 << len(payoff))]
+
+
 def choquet_naive(weights, payoff):
     """Focal-weighted minima by direct enumeration; weights is mask -> w."""
     return math.fsum(w * min_over(mask, payoff) for mask, w in weights.items())

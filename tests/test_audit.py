@@ -1,6 +1,7 @@
 """Coherence probes, sure-loss exposure, probability checks, the
 belief-consistency audit, and certificate construction/verification."""
 
+import math
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     envelope_induced_naive,
     is_two_monotone,
     mobius_naive,
+    subset_minima_naive,
 )
 
 
@@ -512,6 +514,146 @@ class TestVerifyCertificate:
         assert survived == 0
 
 
+class SidePriced:
+    """Duck-typed model that pays 1 for each gamble of ``xs`` and -1 for any
+    other, so a certificate with a nonempty side passes the price check and
+    its verdict is the domination check alone."""
+
+    def __init__(self, space, xs):
+        self.space = space
+        self.xs = xs
+
+    def buy_payoff(self, payoff):
+        return 1.0 if any(payoff is g.payoff for g in self.xs) else -1.0
+
+
+class IndicatorTableModel:
+    """Duck-typed model that prices indicator gambles off a set-function table."""
+
+    def __init__(self, f):
+        self.space = f.space
+        self.values = f.values
+
+    def buy_payoff(self, payoff):
+        return float(self.values[int(np.dot(payoff > 0.5, 1 << np.arange(self.space.n)))])
+
+
+def dominated_naive(cert, exact_tol=bb.EXACT_TOL):
+    """Brute force: the summed core minima of xs stay within exact_tol of ys."""
+    xs, ys = ([subset_minima_naive(g.payoff.tolist()) for g in side] for side in (cert.xs, cert.ys))
+    return all(
+        math.fsum(t[mask] for t in xs) <= math.fsum(t[mask] for t in ys) + exact_tol
+        for mask in range(1, cert.space.size)
+    )
+
+
+def layer_gambles(g):
+    layers, prev = [], 0.0
+    for level, upper in bb.payoff_layers(g.payoff):
+        if level > 0:
+            layers.append((level - prev) * bb.indicator(g.space, upper))
+            prev = level
+    return tuple(layers)
+
+
+def side_certificate(sp, xs, ys):
+    return bb.ViolationCertificate(
+        space=sp, xs=tuple(xs), ys=tuple(ys), buy_gap=1.0,
+        witness=bb.NegativeMassWitness(subset=sp.full_mask, mass=-1.0),
+    )
+
+
+class TestVerifierAgainstOracle:
+    def check(self, cert):
+        verdict = bb.verify_certificate(SidePriced(cert.space, cert.xs), cert)
+        assert verdict == (dominated_naive(cert) and bool(cert.xs + cert.ys))
+        return verdict
+
+    def test_indicator_families(self):
+        rng = np.random.default_rng(61)
+        verdicts = []
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            sp = space_of(n)
+            masks = rng.integers(0, sp.size, size=(2, int(rng.integers(1, 6))))
+            xs, ys = ([bb.indicator(sp, int(m)) for m in row] for row in masks)
+            verdicts.append(self.check(side_certificate(sp, xs, ys)))
+            subset = int(rng.integers(1, sp.size))
+            if subset.bit_count() >= 2:
+                mob = rng.uniform(-0.3, 1.0, sp.size)
+                mob[0] = 0.0
+                mob[subset] = -0.5
+                f = bb.SetFunction(sp, bb.zeta_transform(mob / mob.sum()))
+                if mobius_naive(f.values.tolist())[subset] < -1e-9:
+                    cert = bb.certificate_from_negative_mass(f, subset)
+                    assert self.check(side_certificate(sp, cert.xs, cert.ys))
+        assert True in verdicts and False in verdicts
+
+    def test_layer_decompositions(self):
+        rng = np.random.default_rng(62)
+        for _ in range(40):
+            sp = space_of(int(rng.integers(1, 8)))
+            g = bb.Gamble(sp, rng.uniform(0, 1, size=sp.n))
+            assert self.check(side_certificate(sp, [g], layer_gambles(g)))
+            assert self.check(side_certificate(sp, layer_gambles(g), [g]))
+
+    def test_random_gambles_with_ties_and_negative_payoffs(self):
+        rng = np.random.default_rng(63)
+        verdicts = []
+        for _ in range(120):
+            sp = space_of(int(rng.integers(1, 8)))
+
+            def draw(count):
+                return [bb.Gamble(sp, rng.integers(-3, 4, size=sp.n) / 2.0) for _ in range(count)]
+
+            xs = draw(int(rng.integers(1, 4)))
+            if rng.random() < 0.5:
+                ys = draw(int(rng.integers(1, 4)))
+            else:
+                # the same gambles, one raised by a nonnegative lift: always dominated
+                lift = bb.Gamble(sp, rng.integers(0, 3, size=sp.n) / 2.0)
+                ys = [xs[0] + lift] + xs[1:]
+            verdicts.append(self.check(side_certificate(sp, xs, ys)))
+        assert True in verdicts and False in verdicts
+
+    def test_empty_sides(self):
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            sp = space_of(int(rng.integers(1, 6)))
+            g = bb.Gamble(sp, rng.uniform(-1, 1, size=sp.n))
+            self.check(side_certificate(sp, [], [g]))
+            self.check(side_certificate(sp, [g], []))
+        assert not self.check(side_certificate(sp, [], []))
+
+    def test_lift_past_exact_tol_flips_the_verdict(self):
+        rng = np.random.default_rng(65)
+        for _ in range(20):
+            sp = space_of(int(rng.integers(1, 8)))
+            g = bb.Gamble(sp, rng.uniform(0, 1, size=sp.n))
+            assert self.check(side_certificate(sp, [g], layer_gambles(g)))
+            lifted = g.payoff.copy()
+            lifted[int(rng.integers(0, sp.n))] += 2e-12
+            lifted = bb.Gamble(sp, lifted)
+            assert not self.check(side_certificate(sp, [lifted], layer_gambles(g)))
+
+    def test_full_deletion_family_at_fourteen_outcomes(self):
+        # pair masses +eps and the full set -eps: every pair slack is zero, so
+        # the certificate is the whole deletion family, 2^14 indicators
+        n, eps = 14, 1e-6
+        sp = bb.make_space([f"o{i}" for i in range(n)])
+        i, j = np.triu_indices(n, 1)
+        mob = np.zeros(sp.size)
+        mob[(1 << i) | (1 << j)] = eps
+        mob[sp.full_mask] = -eps
+        mob[1 << np.arange(n)] = (1.0 - eps * (i.size - 1)) / n
+        f = bb.SetFunction(sp, bb.zeta_transform(mob))
+        cert = bb.certificate_from_negative_mass(f, sp.full_mask)
+        assert len(cert.xs) + len(cert.ys) == 1 << n
+        start = time.perf_counter()
+        assert bb.verify_certificate(IndicatorTableModel(f), cert)
+        assert time.perf_counter() - start < 0.5
+
+
 class TestBeliefConsistencyAudit:
     @given(mass_functions(max_n=5))
     @settings(max_examples=25)
@@ -643,3 +785,16 @@ class TestBeliefConsistencyAudit:
             bb.sample_gambles(two_row_model.space, plan),
             bb.sample_gambles(two_row_model.space, plan),
         )
+
+
+class TestCertificateWeight:
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_weight_is_the_reported_entry(self, n):
+        rng = np.random.default_rng(70 + n)
+        sp = space_of(n)
+        rows = rng.uniform(0.05, 1.0, size=(4, n))
+        pm = bb.LowerEnvelopeModel(sp, rows / rows.sum(axis=1, keepdims=True))
+        report = bb.belief_consistency_audit(pm)
+        assert isinstance(report.induced_mass, bb.NegativeMassReport)
+        witness = report.certificate.witness
+        assert witness.mass == dict(report.induced_mass.entries)[witness.subset]

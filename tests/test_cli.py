@@ -320,6 +320,17 @@ class TestBadFlags:
         assert "DUTCH BOOK" in capsys.readouterr().out
         assert main(commands["audit"] + ["--tol", "0"]) == 1
 
+    def test_zero_tolerance_envelope_certificate(self, tmp_path, capsys):
+        # the inverted weight at {a,b,c} is -8.3e-17: below -0, so certified
+        model = write(
+            tmp_path,
+            "model.json",
+            {"space": ["a", "b", "c"], "kind": "lower_envelope",
+             "rows": [[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]]},
+        )
+        assert main(["audit", model, "--tol", "0"]) == 1
+        assert "certificate verified: True" in capsys.readouterr().out
+
     def test_negative_seed_exits_two(self, commands, capsys):
         assert main(commands["audit"] + ["--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err

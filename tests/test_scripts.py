@@ -1,6 +1,7 @@
 """The example scripts run end to end."""
 
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,25 @@ def test_compare_outputs_against_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "compared 80 outputs over 12 documents: 0 differ"
+
+
+def test_compare_outputs_shows_the_first_differing_line(tmp_path):
+    # a base checkout whose human audits word one line differently
+    shutil.copytree(ROOT / "src" / "beliefbet", tmp_path / "src" / "beliefbet",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "beliefbet" / "cli.py"
+    cli.write_text(cli.read_text().replace('"certificate verified: ', '"certificate checked: '))
+    proc = subprocess.run(
+        [sys.executable, str(COMPARE), "--base", str(tmp_path), "--docs", "12"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    differing = [i for i, line in enumerate(lines) if line.startswith("differs (output): ")]
+    assert differing and all("--format human" in lines[i] for i in differing)
+    for i in differing:
+        assert lines[i + 1] == "  base:   certificate checked: True"
+        assert lines[i + 2] == "  change: certificate verified: True"
+    assert lines[-1] == f"compared 80 outputs over 12 documents: {len(differing)} differ"
