@@ -5,7 +5,10 @@
 Writes N seeded documents on 2 to 12 outcomes, cycling through six kinds:
 linear models, Choquet models with 1-40 focal sets, lower envelopes of 2-4
 rows, near-copy two-row envelopes, belief tables carrying Moebius noise of
-up to 1.6 tol, and belief tables of a signed mass. Every model document is
+up to 1.6 tol, and belief tables of a signed mass. Every fifth document
+labels its outcomes with text that JSON escapes or that is not ASCII (a
+quote, a backslash, a tab, "é", "Ω"); the choice follows the document
+index, so it draws nothing from the random stream. Every model document is
 audited in human and machine format, with default flags and with
 ``--seed 7 --samples 64 --tol 1e-7``; every document goes through
 ``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12.
@@ -35,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TOL = 1e-9
 CORPUS_SEED = 2024
 KINDS = ("linear", "choquet", "envelope", "near_copy", "noisy_belief", "signed_belief")
+#: Label stems that JSON writes escaped or that are not ASCII.
+ESCAPED_STEMS = ('a"b', "back\\slash", "tab\there", "é", "Ω", " lead")
+ESCAPED_EVERY = 5
 
 AUDIT_FLAGS = ([], ["--seed", "7", "--samples", "64", "--tol", "1e-7"])
 TRANSFORM_TOLS = ("1e-9", "1e-12")
@@ -112,7 +118,10 @@ def make_document(seed: int, index: int) -> dict:
     rng = np.random.default_rng([seed, index])
     kind = KINDS[index % len(KINDS)]
     n = int(rng.integers(2, 13))
-    labels = [f"o{i}" for i in range(n)]
+    if index % ESCAPED_EVERY == ESCAPED_EVERY - 1:
+        labels = [f"{ESCAPED_STEMS[i % len(ESCAPED_STEMS)]}{i}" for i in range(n)]
+    else:
+        labels = [f"o{i}" for i in range(n)]
     if kind == "linear":
         return {"space": labels, "kind": "linear",
                 "prob": _normalized(rng.uniform(0.05, 1.0, n)).tolist()}

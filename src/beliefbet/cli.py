@@ -17,8 +17,10 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,9 +96,30 @@ def _space_from(doc: dict) -> OutcomeSpace:
         raise SchemaError(str(exc)) from exc
 
 
+def _byte_table(labels: Sequence[str]) -> list[str]:
+    """table[b] holds the labels of the bits set in b, each followed by a comma,
+    built by doubling one label at a time."""
+    table = [""]
+    for label in labels:
+        table += [key + label + "," for key in table]
+    return table
+
+
+def subset_keys(labels: Sequence[str], masks: Sequence[int] | np.ndarray) -> list[str]:
+    """:func:`subset_key` of every mask over a space with these labels (or with
+    their JSON-escaped texts, which gives the escaped keys). The tables are built
+    once per call, one per byte of a mask (three, as MAX_OUTCOMES is 24), so
+    each key is three lookups and one concatenation."""
+    low, mid, high = (_byte_table(labels[lo : lo + 8]) for lo in (0, 8, 16))
+    return [
+        (low[m & 255] + mid[m >> 8 & 255] + high[m >> 16])[:-1]
+        for m in np.asarray(masks, dtype=np.int64).tolist()
+    ]
+
+
 def subset_key(space: OutcomeSpace, mask: int) -> str:
     """Comma-joined labels in canonical order; empty string for the empty set."""
-    return ",".join(space.members(mask))
+    return subset_keys(space.labels, [space.check_mask(mask)])[0]
 
 
 def parse_subset_key(space: OutcomeSpace, key: str) -> int:
@@ -239,33 +262,85 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
-def _machine(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _human(lines: Sequence[str]) -> tuple[str]:
+    return ("\n".join(lines) + "\n",)
+
+
+#: Entries per piece of a streamed subset listing.
+_LISTING_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _Listing:
+    """A subset-keyed block of a machine document: ascending masks, one float each."""
+
+    space: OutcomeSpace
+    masks: np.ndarray
+    values: np.ndarray
+
+
+def _listing_text(listing: _Listing) -> Iterator[str]:
+    """The block as json.dumps(indent=2) writes it one level down, in chunks."""
+    if not listing.masks.size:
+        yield "{}"
+        return
+    # JSON escapes a string one character at a time, so a key built from the
+    # escaped labels is the escaped key
+    escaped = [encode_basestring_ascii(label)[1:-1] for label in listing.space.labels]
+    sep = "{\n    "
+    for lo in range(0, listing.masks.size, _LISTING_CHUNK):
+        keys = subset_keys(escaped, listing.masks[lo : lo + _LISTING_CHUNK])
+        # the C encoder writes each float as json does (repr, NaN or Infinity),
+        # and no float text holds ", "
+        values = json.dumps(listing.values[lo : lo + _LISTING_CHUNK].tolist())[1:-1]
+        yield sep + ",\n    ".join([f'"{k}": {v}' for k, v in zip(keys, values.split(", "))])
+        sep = ",\n    "
+    yield "\n  }"
+
+
+def _machine(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, indent=2) + "\\n"`` in pieces, each top-level
+    :class:`_Listing` streamed by :func:`_listing_text`."""
+    sep = "{"
+    for name, value in doc.items():
+        yield f"{sep}\n  {encode_basestring_ascii(name)}: "
+        sep = ","
+        if isinstance(value, _Listing):
+            yield from _listing_text(value)
+        else:
+            # json.dumps indents a nested value's lines once more than its own
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def _gamble_doc(g: Gamble) -> dict:
     return {"payoff": [float(v) for v in g.payoff]}
 
 
-def _describe_gamble(space: OutcomeSpace, g: Gamble) -> str:
+def _describe_gambles(space: OutcomeSpace, gambles: Sequence[Gamble]) -> list[str]:
     """Indicator-aware rendering: 1_{a,b} and w*1_{a,b} stay readable."""
-    nonzero = np.flatnonzero(g.payoff != 0.0)
-    distinct = set(float(v) for v in g.payoff[nonzero])
-    if len(distinct) == 1 and nonzero.size:
-        w = distinct.pop()
-        body = "{" + subset_key(space, int((1 << nonzero).sum())) + "}"
-        return f"1_{body}" if w == 1.0 else f"{_fmt(w)}*1_{body}"
-    if not nonzero.size:
-        return "0"
-    return "(" + ", ".join(_fmt(v) for v in g.payoff) + ")"
+    payoffs = np.array([g.payoff for g in gambles]).reshape(-1, space.n)
+    supports = payoffs != 0.0
+    keys = subset_keys(space.labels, supports @ (1 << np.arange(space.n)))
+    out = []
+    for payoff, nonzero, key in zip(payoffs, supports, keys):
+        distinct = set(payoff[nonzero].tolist())
+        if len(distinct) == 1:
+            w = distinct.pop()
+            out.append(f"1_{{{key}}}" if w == 1.0 else f"{_fmt(w)}*1_{{{key}}}")
+        elif not distinct:
+            out.append("0")
+        else:
+            out.append("(" + ", ".join(_fmt(v) for v in payoff) + ")")
+    return out
 
 
 def _certificate_doc(space: OutcomeSpace, cert: ViolationCertificate) -> dict:
@@ -294,18 +369,23 @@ def _certificate_lines(space: OutcomeSpace, cert: ViolationCertificate) -> list[
         )
     else:
         lines.append(
-            f"  gamble {_describe_gamble(space, cert.witness.gamble)}: "
+            f"  gamble {_describe_gambles(space, [cert.witness.gamble])[0]}: "
             f"model price {_fmt(cert.witness.model_price)}, "
             f"choquet price {_fmt(cert.witness.choquet_price)}"
         )
-    lines.append("  xs: " + ", ".join(_describe_gamble(space, g) for g in cert.xs))
-    lines.append("  ys: " + ", ".join(_describe_gamble(space, g) for g in cert.ys))
+    lines.append("  xs: " + ", ".join(_describe_gambles(space, cert.xs)))
+    lines.append("  ys: " + ", ".join(_describe_gambles(space, cert.ys)))
     lines.append(f"  buy gap: {_fmt(cert.buy_gap)}")
     return lines
 
 
-def _mass_doc(mass: MassFunction) -> dict:
-    return {subset_key(mass.space, m): w for m, w in mass.weights.items()}
+def _mass_listing(mass: MassFunction) -> _Listing:
+    return _Listing(mass.space, mass.mask_array, mass.weight_array)
+
+
+def _listing_lines(listing: _Listing) -> list[str]:
+    keys = subset_keys(listing.space.labels, listing.masks)
+    return [f"{{{k}}}: {_fmt(v)}" for k, v in zip(keys, listing.values.tolist())]
 
 
 # -------------------------------------------------------------- commands
@@ -322,19 +402,12 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             raise SchemaError(
                 f"direction 'belief' needs a mass or choquet document, got kind {kind!r}"
             )
-        bel = mass_to_belief(mass)
-        out_doc = {
-            "space": list(space.labels),
-            "kind": "belief",
-            "values": {subset_key(space, m): float(bel.values[m]) for m in range(space.size)},
-        }
+        values = _Listing(space, np.arange(space.size), mass_to_belief(mass).values)
         if args.format == "machine":
+            out_doc = {"space": list(space.labels), "kind": "belief", "values": values}
             _emit(_machine(out_doc), args.out)
         else:
-            lines = [
-                f"{{{subset_key(space, m)}}}: {_fmt(bel.values[m])}" for m in range(space.size)
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
+            _emit(_human(_listing_lines(values)), args.out)
         return 0
 
     if kind == "belief":
@@ -349,35 +422,27 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     result = _classify_mobius(table, mob, args.tol)
     if isinstance(result, MassFunction):
         if args.format == "machine":
-            out_doc = {
-                "space": list(space.labels),
-                "kind": "mass",
-                "mass": _mass_doc(result),
-            }
+            out_doc = {"space": list(space.labels), "kind": "mass", "mass": _mass_listing(result)}
             _emit(_machine(out_doc), args.out)
         else:
-            lines = [
-                f"{{{subset_key(space, m)}}}: {_fmt(w)}" for m, w in result.weights.items()
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
+            _emit(_human(_listing_lines(_mass_listing(result))), args.out)
         return 0
-    negatives = dict(result.entries)
-    visible = np.flatnonzero(np.abs(mob) > EXACT_TOL).tolist()
+    visible = np.flatnonzero(np.abs(mob) > EXACT_TOL)
+    mobius = _Listing(space, visible, mob[visible])
     if args.format == "machine":
         out_doc = {
             "space": list(space.labels),
             "kind": "negative_mass_report",
-            "mobius": {subset_key(space, m): float(mob[m]) for m in visible},
-            "negative": {subset_key(space, m): v for m, v in result.entries},
+            "mobius": mobius,
+            "negative": _Listing(space, result.masks, result.weights),
         }
         _emit(_machine(out_doc), args.out)
     else:
-        lines = []
-        for m in visible:
-            flag = "  NEGATIVE" if m in negatives else ""
-            lines.append(f"{{{subset_key(space, m)}}}: {_fmt(mob[m])}{flag}")
-        lines.append(f"{len(negatives)} subset(s) carry negative weight; not a belief function")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = _listing_lines(mobius)
+        for i in np.flatnonzero(mobius.values < -args.tol).tolist():
+            lines[i] += "  NEGATIVE"
+        lines.append(f"{result.masks.size} subset(s) carry negative weight; not a belief function")
+        _emit(_human(lines), args.out)
     return 0
 
 
@@ -395,7 +460,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
         _emit(_machine(out_doc), args.out)
     else:
         lines = [f"{n}: buy={_fmt(b)} sell={_fmt(s)}" for n, b, s in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_human(lines), args.out)
     return 0
 
 
@@ -431,17 +496,16 @@ def _report_doc(args: argparse.Namespace, report: AuditReport) -> dict:
         "probability_witness": (
             None
             if report.probability_witness is None
-            else [subset_key(space, m) for m in report.probability_witness]
+            else subset_keys(space.labels, report.probability_witness)
         ),
         "is_belief_consistent": report.is_belief_consistent,
     }
     if isinstance(report.induced_mass, MassFunction):
-        doc["induced_mass"] = _mass_doc(report.induced_mass)
+        doc["induced_mass"] = _mass_listing(report.induced_mass)
     else:
         doc["induced_mass"] = None
-        doc["negative_mass"] = {
-            subset_key(space, m): v for m, v in report.induced_mass.entries
-        }
+        negative = report.induced_mass
+        doc["negative_mass"] = _Listing(space, negative.masks, negative.weights)
     doc["certificate"] = (
         None
         if report.certificate is None
@@ -467,16 +531,12 @@ def _report_lines(report: AuditReport) -> list[str]:
         lines.append(f"sure-loss worst exposure: {_fmt(report.sure_loss_worst)}")
     lines.append(f"prices additive (probability): {report.is_probability}")
     if report.probability_witness is not None:
-        a, b = report.probability_witness
-        lines.append(
-            f"  additivity fails on {{{subset_key(space, a)}}} and {{{subset_key(space, b)}}}"
-        )
+        a, b = subset_keys(space.labels, report.probability_witness)
+        lines.append(f"  additivity fails on {{{a}}} and {{{b}}}")
     if report.is_belief_consistent:
-        mass = report.induced_mass
         lines.append("VERDICT: belief-consistent")
         lines.append("recovered mass:")
-        for m, w in mass.weights.items():
-            lines.append(f"  {{{subset_key(space, m)}}}: {_fmt(w)}")
+        lines.extend("  " + line for line in _listing_lines(_mass_listing(report.induced_mass)))
     else:
         lines.append("VERDICT: NOT belief-consistent")
         lines.extend(_certificate_lines(space, report.certificate))
@@ -491,7 +551,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.format == "machine":
         _emit(_machine(_report_doc(args, report)), args.out)
     else:
-        _emit("\n".join(_report_lines(report)) + "\n", args.out)
+        _emit(_human(_report_lines(report)), args.out)
     return 0 if report.is_belief_consistent else 1
 
 
@@ -517,7 +577,7 @@ def _cmd_dutchbook(args: argparse.Namespace) -> int:
         lines = [f"exposure: {_fmt(exposure)} (best outcome: {space.labels[best]})"]
         if dutch:
             lines.append("*** DUTCH BOOK: these prices lose at every outcome ***")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_human(lines), args.out)
     return 0
 
 

@@ -89,10 +89,15 @@ def constant_gamble(space: OutcomeSpace, value: float) -> Gamble:
 
 
 def _additive_values(space: OutcomeSpace, prob: np.ndarray) -> np.ndarray:
-    """Indicator prices under one probability vector: zeta of its singleton seed."""
-    seed = np.zeros(space.size)
-    seed[1 << np.arange(space.n)] = prob
-    return zeta_transform(seed)
+    """Indicator prices under one probability vector, doubling one outcome at a
+    time: v[2^i : 2^(i+1)] = v[:2^i] + p_i. Each entry is the same sum, in the
+    same order, as in the zeta transform of the singleton seed."""
+    v = np.empty(space.size)
+    v[0] = 0.0
+    for i, p in enumerate(prob):
+        lo = 1 << i
+        np.add(v[:lo], p, out=v[lo : 2 * lo])
+    return v
 
 
 def _check_probability_vector(p: np.ndarray, what: str) -> np.ndarray:
@@ -201,7 +206,10 @@ class LowerEnvelopeModel:
         return (payoffs @ self.rows.T).min(axis=1)
 
     def induced_values(self) -> np.ndarray:
-        return np.minimum.reduce([_additive_values(self.space, row) for row in self.rows])
+        low = _additive_values(self.space, self.rows[0])
+        for row in self.rows[1:]:
+            np.minimum(low, _additive_values(self.space, row), out=low)
+        return low
 
 
 PriceModel = Union[LinearModel, ChoquetModel, LowerEnvelopeModel]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -271,19 +270,36 @@ class BeliefFunction:
 
 @dataclass(frozen=True, eq=False)
 class NegativeMassReport:
-    """Subsets whose Moebius weight falls below the negativity tolerance."""
+    """Subsets whose Moebius weight falls below the negativity tolerance.
+
+    ``masks`` holds the offending subsets in ascending order (int64) and
+    ``weights`` their Moebius weights (float), as frozen copies of the
+    arrays given; ``entries`` reads them back as (mask, weight) pairs.
+    """
 
     space: OutcomeSpace
-    entries: tuple[tuple[int, float], ...]  # (mask, weight), ascending mask
+    masks: np.ndarray
+    weights: np.ndarray
     tol: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", _frozen(np.array(self.masks, dtype=np.int64)))
+        object.__setattr__(self, "weights", _frozen(np.array(self.weights, dtype=float)))
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        """(mask, weight) pairs in ascending mask order."""
+        return tuple(zip(self.masks.tolist(), self.weights.tolist()))
+
     def worst(self) -> tuple[int, float]:
-        return min(self.entries, key=itemgetter(1))
+        """The most negative entry; the lowest mask among equal weights."""
+        i = int(np.argmin(self.weights))
+        return int(self.masks[i]), float(self.weights[i])
 
     def witness(self) -> int:
         """Canonical offending subset: fewest outcomes first, ties broken
         toward the subset containing later outcomes."""
-        return _fewest_outcomes(np.array(self.entries).reshape(-1, 2)[:, 0].astype(np.int64))
+        return _fewest_outcomes(self.masks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +344,7 @@ def _classify_mobius(
     _check_endpoints(f.values)
     bad = np.flatnonzero(mob < -tol)
     if bad.size:
-        entries = tuple((int(mask), float(mob[mask])) for mask in bad)
-        return NegativeMassReport(f.space, entries, tol)
+        return NegativeMassReport(f.space, bad, mob[bad], tol)
     weights = {int(mask): float(mob[mask]) for mask in np.flatnonzero(mob > 0.0) if mask != 0}
     total = math.fsum(weights.values())
     if abs(total - 1.0) > tol:

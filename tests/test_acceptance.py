@@ -2,12 +2,14 @@
 runtime budget, printing one pass line each. Run with `pytest -s` to see
 the lines; a failed assert marks the criterion failed."""
 
+import json
 import math
 import time
 
 import numpy as np
 
 import beliefbet as bb
+from beliefbet.cli import main
 from oracles import (
     bits,
     envelope_induced_naive,
@@ -338,4 +340,24 @@ def test_criterion_10_performance():
         10,
         f"12-outcome audit {audit_elapsed * 1e3:.0f} ms, 20-outcome transforms "
         f"{zeta_elapsed * 1e3:.0f}/{mobius_elapsed * 1e3:.0f} ms",
+    )
+
+
+def test_criterion_11_machine_report_budget(tmp_path):
+    rng = np.random.default_rng(1111)
+    rows = rng.uniform(0.05, 1.0, size=(4, 20))
+    doc = {"space": [f"w{i}" for i in range(20)], "kind": "lower_envelope",
+           "rows": (rows / rows.sum(axis=1, keepdims=True)).tolist()}
+    model, out = tmp_path / "model.json", tmp_path / "report.json"
+    model.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["audit", str(model), "--format", "machine", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    report = json.loads(out.read_text())
+    assert code == 1 and report["certificate_verified"] is True
+    assert elapsed < 3.0, f"machine audit took {elapsed:.2f} s"
+    note(
+        11,
+        f"20-outcome machine envelope audit {elapsed:.2f} s, "
+        f"{len(report['negative_mass'])} negative entries listed",
     )

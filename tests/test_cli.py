@@ -407,3 +407,81 @@ class TestSingleMobiusPass:
         path = write(tmp_path, "model.json", REFERENCE_MODEL)
         assert main(["transform", path, "--to", "mass"]) == 0
         assert len(mobius_calls) == 1
+
+
+ESCAPED_LABELS = ["é", "Ω", 'a"b', "back\\slash", "tab\there", "plain"]
+
+
+def escaped_space(n):
+    return bb.make_space([f"{ESCAPED_LABELS[i % len(ESCAPED_LABELS)]}{i}" for i in range(n)])
+
+
+class TestMachineRenderer:
+    """Machine output is streamed, and must stay what json.dumps(indent=2) writes."""
+
+    @staticmethod
+    def machine_runs(tmp_path):
+        labels = list(escaped_space(6).labels)
+        rng = np.random.default_rng(71)
+        rows = rng.uniform(0.05, 1.0, size=(4, 6))
+        big = [f"w{i}" for i in range(17)]
+        docs = {
+            "envelope": {"space": labels, "kind": "lower_envelope",
+                         "rows": (rows / rows.sum(axis=1, keepdims=True)).tolist()},
+            "choquet": {"space": labels, "kind": "choquet",
+                        "mass": {"é0,Ω1": 0.25, 'a"b2': 0.25, ",".join(labels): 0.5}},
+            "linear": {"space": labels, "kind": "linear", "prob": [1 / 6] * 6},
+            "reference": REFERENCE_MODEL,
+            "mass": {"space": labels, "kind": "mass", "mass": {"tab\there4": 0.5, "é0,plain5": 0.5}},
+            # 2^17 belief values: more than one streamed chunk
+            "wide_mass": {"space": big, "kind": "mass", "mass": {"w3,w16": 0.5, ",".join(big): 0.5}},
+            # Moebius weights of -Infinity
+            "huge_belief": {"space": ["é", "b"], "kind": "belief",
+                            "values": {"": 0, "é": 1e308, "b": 1e308, "é,b": 1}},
+        }
+        paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+        for name in ("envelope", "choquet", "linear", "reference"):
+            yield ["audit", paths[name], "--format", "machine"]
+        for name in ("envelope", "choquet", "reference", "huge_belief"):
+            for tol in ("1e-9", "0"):
+                yield ["transform", paths[name], "--to", "mass", "--format", "machine", "--tol", tol]
+        for name in ("choquet", "mass", "wide_mass"):
+            yield ["transform", paths[name], "--to", "belief", "--format", "machine"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_outputs_equal_json_dumps(self, tmp_path, capsys):
+        listings = 0
+        for i, argv in enumerate(self.machine_runs(tmp_path)):
+            if i % 2:
+                main(argv)
+                text = capsys.readouterr().out
+            else:
+                out = tmp_path / f"out{i}.json"
+                main([*argv, "--out", str(out)])
+                text = out.read_text(encoding="utf-8")
+            doc = json.loads(text)
+            assert text == json.dumps(doc, indent=2) + "\n", argv
+            listings += sum(isinstance(doc.get(k), dict) and len(doc[k]) > 0
+                            for k in ("values", "mass", "mobius", "negative",
+                                      "induced_mass", "negative_mass"))
+        assert listings >= 20
+
+    def test_every_listing_shape(self):
+        sp = escaped_space(3)
+        for masks in ([], [5], [0, 3, 7]):
+            masks = np.array(masks, dtype=np.int64)
+            doc = {"a": [1, {"b": []}], "mass": beliefbet.cli._Listing(sp, masks, -masks / 8.0),
+                   "c": {}}
+            text = "".join(beliefbet.cli._machine(doc))
+            plain = dict(doc, mass={",".join(sp.members(int(m))): -m / 8.0 for m in masks})
+            assert text == json.dumps(plain, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24])
+    def test_subset_keys_match_members(self, n):
+        sp = escaped_space(n)
+        rng = np.random.default_rng(n)
+        masks = np.concatenate([[0, sp.full_mask], 1 << np.arange(n),
+                                rng.integers(0, sp.size, size=300)])
+        keys = beliefbet.cli.subset_keys(sp.labels, masks)
+        assert keys == [",".join(sp.members(int(m))) for m in masks]
+        assert [beliefbet.cli.subset_key(sp, int(m)) for m in masks[:40]] == keys[:40]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 import beliefbet as bb
+import beliefbet.previsions
 from conftest import mass_functions, random_mass, space_of
 from oracles import inclusion_exclusion_slack_naive, bits, mobius_naive, zeta_naive
 
@@ -341,3 +342,86 @@ class TestPlausibility:
         bel = bb.mass_to_belief(m)
         for mask in range(m.space.size):
             assert bb.plausibility(bel, mask) >= bel.values[mask] - 1e-12
+
+
+def dyadic_signed_table(rng, n):
+    """A table with f(empty) = 0 and f(full) = 1 whose other entries are small
+    multiples of 1/8, so every Moebius sum is exact and equal weights tie."""
+    values = rng.integers(-4, 9, size=1 << n) / 8.0
+    values[0], values[-1] = 0.0, 1.0
+    return values
+
+
+class TestNegativeMassArrays:
+    def test_arrays_are_the_mobius_entries(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            n = int(rng.integers(2, 11))
+            values = rng.uniform(-1.0, 1.0, size=1 << n)
+            values[0], values[-1] = 0.0, 1.0
+            report = bb.belief_to_mass(bb.SetFunction(space_of(n), values), tol=1e-3)
+            assert isinstance(report, bb.NegativeMassReport)
+            assert report.masks.dtype == np.int64 and report.weights.dtype == float
+            assert np.all(np.diff(report.masks) > 0)
+            mob = bb.mobius_transform(values)
+            assert np.array_equal(report.weights.view(np.int64), mob[report.masks].view(np.int64))
+            assert np.array_equal(report.masks, np.flatnonzero(mob < -1e-3))
+            assert not report.masks.flags.writeable and not report.weights.flags.writeable
+
+    def test_entries_worst_and_witness_against_brute_force(self):
+        rng = np.random.default_rng(62)
+        ties = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            values = dyadic_signed_table(rng, n)
+            mob = mobius_naive(values.tolist())
+            negative = [(a, w) for a, w in enumerate(mob) if w < -1e-9]
+            report = bb.belief_to_mass(bb.SetFunction(space_of(n), values))
+            if not negative:
+                assert isinstance(report, bb.MassFunction)
+                continue
+            assert report.entries == tuple(negative)
+            lowest = min(w for _, w in negative)
+            first = next(a for a, w in negative if w == lowest)
+            ties += sum(w == lowest for _, w in negative) > 1
+            assert report.worst() == (first, lowest)
+            expected = min((a for a, _ in negative), key=lambda a: (a.bit_count(), -a))
+            assert report.witness() == expected
+            assert type(report.witness()) is int and type(report.worst()[0]) is int
+        assert ties >= 10
+
+    def test_constructor_copies_and_freezes(self):
+        sp = space_of(3)
+        masks, weights = np.array([3, 6]), np.array([-0.5, -0.25])
+        report = bb.NegativeMassReport(sp, masks, weights, 1e-9)
+        masks[0], weights[0] = 5, 0.0
+        assert report.entries == ((3, -0.5), (6, -0.25))
+        assert masks.flags.writeable
+        with pytest.raises(ValueError):
+            report.weights[0] = 1.0
+
+
+def singleton_zeta(space, prob):
+    """Indicator prices the way they used to be computed: zeta of the singleton seed."""
+    seed = np.zeros(space.size)
+    seed[1 << np.arange(space.n)] = prob
+    return bb.zeta_transform(seed)
+
+
+class TestAdditiveTablesByDoubling:
+    def test_bit_identical_to_the_zeta_route(self):
+        rng = np.random.default_rng(63)
+        for _ in range(240):
+            n = int(rng.integers(1, 17))
+            space = bb.make_space([f"x{i}" for i in range(n)])
+            rows = rng.uniform(0.05, 1.0, size=(int(rng.integers(1, 5)), n))
+            rows /= rows.sum(axis=1, keepdims=True)
+            zeta_rows = [singleton_zeta(space, row) for row in rows]
+            got = beliefbet.previsions._additive_values(space, rows[0])
+            assert np.array_equal(got.view(np.int64), zeta_rows[0].view(np.int64))
+            envelope = bb.LowerEnvelopeModel(space, rows).induced_values()
+            assert np.array_equal(
+                envelope.view(np.int64), np.minimum.reduce(zeta_rows).view(np.int64)
+            )
+            linear = bb.LinearModel(space, rows[0]).induced_values()
+            assert np.array_equal(linear.view(np.int64), zeta_rows[0].view(np.int64))
