@@ -7,8 +7,11 @@ linear models, Choquet models with 1-40 focal sets, lower envelopes of 2-4
 rows, near-copy two-row envelopes, belief tables carrying Moebius noise of
 up to 1.6 tol, and belief tables of a signed mass. Every fifth document
 labels its outcomes with text that JSON escapes or that is not ASCII (a
-quote, a backslash, a tab, "é", "Ω"); the choice follows the document
-index, so it draws nothing from the random stream. Every model document is
+quote, a backslash, a tab, "é", "Ω"). Every 23rd document is wide: it has
+13 to 16 outcomes, so the lattice butterfly runs its turned low-bit blocks
+on it; 23 is prime to 5 and 6, so the wide documents take every kind, with
+and without escaped labels. Both choices follow the document index and
+change no draw of any other document. Every model document is
 audited in human and machine format, with default flags and with
 ``--seed 7 --samples 64 --tol 1e-7``; every document goes through
 ``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12.
@@ -41,6 +44,7 @@ KINDS = ("linear", "choquet", "envelope", "near_copy", "noisy_belief", "signed_b
 #: Label stems that JSON writes escaped or that are not ASCII.
 ESCAPED_STEMS = ('a"b', "back\\slash", "tab\there", "é", "Ω", " lead")
 ESCAPED_EVERY = 5
+WIDE_EVERY = 23
 
 AUDIT_FLAGS = ([], ["--seed", "7", "--samples", "64", "--tol", "1e-7"])
 TRANSFORM_TOLS = ("1e-9", "1e-12")
@@ -117,7 +121,8 @@ def make_document(seed: int, index: int) -> dict:
     """Seeded document number ``index``; its kind cycles through KINDS."""
     rng = np.random.default_rng([seed, index])
     kind = KINDS[index % len(KINDS)]
-    n = int(rng.integers(2, 13))
+    wide = index % WIDE_EVERY == WIDE_EVERY - 1
+    n = int(rng.integers(13, 17) if wide else rng.integers(2, 13))
     if index % ESCAPED_EVERY == ESCAPED_EVERY - 1:
         labels = [f"{ESCAPED_STEMS[i % len(ESCAPED_STEMS)]}{i}" for i in range(n)]
     else:

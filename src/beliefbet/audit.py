@@ -249,11 +249,21 @@ class ProbabilityCheck:
 def _probability_verdict(
     space: OutcomeSpace, values: np.ndarray, mob: np.ndarray, tol: float
 ) -> ProbabilityCheck:
-    counts = np.bitwise_count(np.arange(space.size))
-    offenders = np.flatnonzero((counts >= 2) & (np.abs(mob) > tol))
-    if not offenders.size:
+    # star is the lowest mask among those with the fewest outcomes, two or
+    # more, and |weight| > tol. A bool and a uint8 table pick it, so the
+    # transient stays near 2 bytes per subset.
+    heavy = mob > tol
+    heavy |= mob < -tol
+    heavy[0] = heavy[1 << np.arange(space.n)] = False
+    if not heavy.any():
         return ProbabilityCheck(True)
-    star = _fewest_outcomes(offenders, lowest=True)
+    counts = np.zeros(space.size, dtype=np.uint8)
+    for i in range(space.n):
+        np.add(counts[: 1 << i], 1, out=counts[1 << i : 2 << i])
+    # Raise the counts of the light subsets past every popcount.
+    np.copyto(counts, np.iinfo(np.uint8).max, where=np.logical_not(heavy, out=heavy))
+    del heavy
+    star = int(np.argmax(counts == counts.min()))
     a = star & -star
     b = star ^ a
     if abs(values[star] - values[a] - values[b]) > tol:

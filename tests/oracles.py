@@ -1,6 +1,8 @@
 """Independent brute-force references the test suite checks the library
 against. Everything here enumerates subsets directly with exact fsum
-accumulation and never calls the fast lattice transforms."""
+accumulation and never calls the fast lattice transforms. The one numpy
+reference, butterfly_per_bit, is the plain one-stage-per-bit loop that the
+blocked butterfly must equal bit for bit."""
 
 import math
 from itertools import combinations
@@ -34,6 +36,15 @@ def mobius_naive(values):
         )
         for a in range(size)
     ]
+
+
+def butterfly_per_bit(table, op):
+    """In place, for each bit b in turn and each A holding b:
+    table[A] = op(table[A], table[A - {b}]), one whole-table stage per bit."""
+    for b in range(len(table).bit_length() - 1):
+        v = table.reshape(-1, 2, 1 << b)
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return table
 
 
 def min_over(mask, payoff):

@@ -3,12 +3,14 @@ belief-consistency audit, and certificate construction/verification."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import beliefbet as bb
+import beliefbet.audit
 from conftest import mass_functions, random_mass, random_model, space_of
 from oracles import (
     additivity_offenders_naive,
@@ -305,6 +307,30 @@ class TestPrimaryWitness:
                     assert check.witness == (a, b)
                     split_witnesses += 1
         assert split_witnesses >= 40
+
+    def test_primary_pick_transient_at_twenty_outcomes(self):
+        # The star is picked from a bool and a uint8 table: under 3 bytes per
+        # subset on top of the inputs, where an int64 popcount table, an
+        # |weight| table and an offender index took about 11.
+        n = 20
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(0.05, 1.0, size=(4, n))
+        space = bb.make_space([f"w{i}" for i in range(n)])
+        pm = bb.LowerEnvelopeModel(space, rows / rows.sum(axis=1, keepdims=True))
+        values = bb.induced_set_function(pm).values
+        mob = bb.mobius_transform(values)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            check = beliefbet.audit._probability_verdict(pm.space, values, mob, 1e-9)
+            transient = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert transient < 3 << n
+        heavy = np.flatnonzero(np.abs(mob) > 1e-9)
+        counts = np.bitwise_count(heavy)
+        star = int(heavy[np.argmin(np.where(counts >= 2, counts, n + 1))])
+        assert check.witness == (star & -star, star ^ (star & -star))
 
 
 class TestSharedWitnessRule:

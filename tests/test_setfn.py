@@ -9,8 +9,15 @@ from hypothesis import given
 
 import beliefbet as bb
 import beliefbet.previsions
+import beliefbet.setfn
 from conftest import mass_functions, random_mass, space_of
-from oracles import inclusion_exclusion_slack_naive, bits, mobius_naive, zeta_naive
+from oracles import (
+    bits,
+    butterfly_per_bit,
+    inclusion_exclusion_slack_naive,
+    mobius_naive,
+    zeta_naive,
+)
 
 
 class TestMakeSpace:
@@ -91,6 +98,31 @@ class TestTransforms:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(bb.BeliefBetError):
             bb.zeta_transform(np.zeros(5))
+
+
+class TestButterflyKernel:
+    """The blocked butterfly against the per-bit loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 11, 12, 13, 14, 15, 16, 17, 20])
+    @pytest.mark.parametrize("op", [np.add, np.subtract, np.logical_or])
+    @pytest.mark.parametrize("reversed_view", [False, True])
+    def test_bit_identical_to_the_per_bit_loop(self, n, op, reversed_view):
+        rng = np.random.default_rng([64, n])
+        if op is np.logical_or:
+            got = rng.random(1 << n) < 2.0 ** -(n // 2 + 1)
+        else:
+            got = rng.uniform(-1.0, 1.0, size=1 << n)
+        table = got[::-1] if reversed_view else got
+        table[0], table[-1] = 1, 0
+        before = got.copy()
+        expected = got.copy()
+        assert beliefbet.setfn._butterfly(table, op) is table
+        butterfly_per_bit(expected[::-1] if reversed_view else expected, op)
+        if op is np.logical_or:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert not np.array_equal(got, before)
 
 
 class TestMassToBelief:
