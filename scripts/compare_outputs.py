@@ -9,9 +9,11 @@ up to 1.6 tol, and belief tables of a signed mass. Every fifth document
 labels its outcomes with text that JSON escapes or that is not ASCII (a
 quote, a backslash, a tab, "é", "Ω"). Every 23rd document is wide: it has
 13 to 16 outcomes, so the lattice butterfly runs its turned low-bit blocks
-on it; 23 is prime to 5 and 6, so the wide documents take every kind, with
-and without escaped labels. Both choices follow the document index and
-change no draw of any other document. Every model document is
+on it, and a wide Choquet model has 150-600 focal sets, so the Choquet
+pricer crosses several blocks of focal sets; 23 is prime to 5 and 6, so the
+wide documents take every kind, with and without escaped labels. These
+choices follow the document index and change no draw of any other
+document. Every model document is
 audited in human and machine format, with default flags and with
 ``--seed 7 --samples 64 --tol 1e-7``; every document goes through
 ``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12.
@@ -131,7 +133,8 @@ def make_document(seed: int, index: int) -> dict:
         return {"space": labels, "kind": "linear",
                 "prob": _normalized(rng.uniform(0.05, 1.0, n)).tolist()}
     if kind == "choquet":
-        masks = _random_masks(rng, n, int(rng.integers(1, 41)))
+        focal = rng.integers(150, 601) if wide else rng.integers(1, 41)
+        masks = _random_masks(rng, n, int(focal))
         weights = _normalized(rng.uniform(0.05, 1.0, masks.size))
         return {"space": labels, "kind": "choquet",
                 "mass": {_key(labels, int(m)): float(w) for m, w in zip(masks, weights)}}

@@ -11,6 +11,16 @@ Three closed-form model families cover everything this package audits:
 * :class:`LowerEnvelopeModel` prices by the minimum expectation over a
   finite list of probability vectors.
 
+The Choquet pricer works on blocks of focal sets in ascending mask order.
+A batch takes each focal minimum by gathering payoff columns through a
+padded member table, and sums the weighted minima of a block with one
+running accumulate. The minima are exact and the sum runs from 0 in focal
+order, term by term, so every price has the bits of the plain loop
+``0 + w0*min0 + w1*min1 + ...``. A single price resolves each focal set by
+its first member in ascending payoff order instead, a sweep that shares no
+code with the batch gather; the duality probe of the audit plays the two
+against each other.
+
 All values are immutable; all functions are pure.
 """
 
@@ -137,30 +147,46 @@ class LinearModel:
         return _additive_values(self.space, self.prob)
 
 
+#: Entries one block of the Choquet pricer gathers: focal sets times payoff
+#: rows for a batch, focal sets times outcomes for a single price.
+_GATHER_BUDGET = 1 << 15
+
+
 def _focal_minima(masks: np.ndarray, payoff: np.ndarray) -> np.ndarray:
-    """min of payoff over each focal set, resolved by one pass per outcome
-    in ascending payoff order."""
+    """min of payoff over each focal set: the set's first member in ascending
+    (stable) payoff order, found per block of sets as the first 1 among its
+    membership bits taken in that order."""
+    order = np.argsort(payoff, kind="stable")
     mins = np.empty(masks.shape[0])
-    unresolved = np.ones(masks.shape[0], dtype=bool)
-    for i in np.argsort(payoff, kind="stable"):
-        hit = unresolved & (masks >> int(i) & 1).astype(bool)
-        mins[hit] = payoff[i]
-        unresolved &= ~hit
+    step = max(1, _GATHER_BUDGET // order.size)
+    for start in range(0, masks.shape[0], step):
+        ranked = masks[start : start + step, None] >> order
+        ranked &= 1
+        mins[start : start + step] = payoff[order[ranked.argmax(axis=1)]]
     return mins
 
 
 @dataclass(frozen=True, eq=False)
 class ChoquetModel:
-    """Prices every gamble at its focal-weighted worst case."""
+    """Prices every gamble at its focal-weighted worst case.
+
+    ``_members`` is the padded member table: row k lists the outcomes of
+    focal set k in ascending order, padded to the largest focal size with
+    its first member, which leaves every minimum unchanged. It is uint8, so
+    it takes at most one byte per focal set and outcome.
+    """
 
     mass: MassFunction
-    _indices: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _members: np.ndarray = field(init=False, repr=False)
 
     kind = "choquet"
 
     def __post_init__(self) -> None:
         flags = _member_flags(self.mass.mask_array, self.space.n)
-        object.__setattr__(self, "_indices", tuple(np.flatnonzero(row) for row in flags))
+        sizes = flags.sum(axis=1)
+        members = np.argsort(~flags, axis=1, kind="stable")[:, : sizes.max()].astype(np.uint8)
+        padded = np.where(np.arange(members.shape[1]) < sizes[:, None], members, members[:, :1])
+        object.__setattr__(self, "_members", _frozen(padded))
 
     @property
     def space(self) -> OutcomeSpace:
@@ -171,10 +197,31 @@ class ChoquetModel:
         return float(np.dot(self.mass.weight_array, mins))
 
     def buy_payoff_batch(self, payoffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(payoffs.shape[0])
-        for w, idx in zip(self.mass.weight_array, self._indices):
-            out += w * payoffs[:, idx].min(axis=1)
-        return out
+        """Prices block by block of focal sets. Row 0 of ``table`` holds the
+        running totals; the rows below it take the block's minima, one
+        gather per member column, then its weighted terms, and one
+        accumulate down the focal axis adds them to the totals in order."""
+        rows = payoffs.shape[0]
+        cols = np.ascontiguousarray(payoffs.T)
+        weights = self.mass.weight_array
+        focal, width = self._members.shape
+        step = min(focal, max(1, _GATHER_BUDGET // max(rows, 1)))
+        table = np.zeros((step + 1, rows))
+        gathered = np.empty((step, rows))
+        # the members are in range; mode="clip" lets take write into its
+        # out array directly, where mode="raise" buffers a copy of it
+        for start in range(0, focal, step):
+            block = self._members[start : start + step]
+            running = table[: block.shape[0] + 1]
+            terms, column = running[1:], gathered[: block.shape[0]]
+            np.take(cols, block[:, 0], axis=0, out=terms, mode="clip")
+            for c in range(1, width):
+                np.take(cols, block[:, c], axis=0, out=column, mode="clip")
+                np.minimum(terms, column, out=terms)
+            terms *= weights[start : start + step, None]
+            np.add.accumulate(running, axis=0, out=running)
+            table[0] = running[-1]
+        return table[0].copy()
 
     def induced_values(self) -> np.ndarray:
         return zeta_transform(self.mass.as_dense())

@@ -1,11 +1,15 @@
 """Independent brute-force references the test suite checks the library
 against. Everything here enumerates subsets directly with exact fsum
-accumulation and never calls the fast lattice transforms. The one numpy
-reference, butterfly_per_bit, is the plain one-stage-per-bit loop that the
-blocked butterfly must equal bit for bit."""
+accumulation and never calls the fast lattice transforms. The two numpy
+references are plain loops that a blocked kernel must equal bit for bit:
+butterfly_per_bit, one stage per bit, for the lattice butterfly, and
+choquet_batch_per_set, one focal set at a time, for the batch Choquet
+pricer."""
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def bits(mask):
@@ -45,6 +49,16 @@ def butterfly_per_bit(table, op):
         v = table.reshape(-1, 2, 1 << b)
         op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
     return table
+
+
+def choquet_batch_per_set(masks, weights, payoffs):
+    """Buy prices of the rows of ``payoffs``, adding w * (row minimum over
+    the focal set) to a zero total one focal set at a time, in the given
+    order."""
+    out = np.zeros(payoffs.shape[0])
+    for mask, w in zip(masks, weights):
+        out += w * payoffs[:, bits(int(mask))].min(axis=1)
+    return out
 
 
 def min_over(mask, payoff):

@@ -1,6 +1,7 @@
 """Gamble pricing, duality, layer-cake agreement, and belief valuations."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -19,10 +20,12 @@ from conftest import (
     spaces,
 )
 from oracles import (
+    choquet_batch_per_set,
     choquet_naive,
     envelope_buy_naive,
     intersection_walk_naive,
     linear_induced_naive,
+    min_over,
     valuation_oracle,
 )
 
@@ -111,6 +114,92 @@ class TestBuy:
             batch = bb.buy_batch(pm, payoffs)
             for row, want in zip(payoffs, batch):
                 assert bb.buy(pm, bb.Gamble(sp, row)) == pytest.approx(want, abs=1e-12)
+
+
+def _wide_mass(rng, n, focal):
+    """A mass on n outcomes with ``focal`` focal sets, among them a singleton
+    and the whole space, so that both extreme sizes are priced."""
+    space = bb.make_space([f"o{i}" for i in range(n)])
+    full = (1 << n) - 1
+    focal = min(focal, full)
+    drawn = 1 + rng.choice(full, size=focal, replace=False)
+    masks = list(dict.fromkeys([1 << (n - 1), full][:focal] + drawn.tolist()))[:focal]
+    raw = rng.uniform(0.05, 1.0, size=focal)
+    total = math.fsum(raw.tolist())
+    return bb.MassFunction(space, {m: float(w) / total for m, w in zip(masks, raw)})
+
+
+def _tied_payoffs(rng, rows, n):
+    """Rows drawn from a pool of six values, two negative, two positive and
+    both zeros, so that ties, signed zeros and rounded products all occur."""
+    pool = np.concatenate([-np.abs(rng.normal(size=2)), np.abs(rng.normal(size=2)), [0.0, -0.0]])
+    return rng.choice(pool, size=(rows, n))
+
+
+class TestChoquetPricer:
+    """The blocked pricer against the one-focal-set-at-a-time loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 14, 24])
+    @pytest.mark.parametrize("focal", [1, 64, 600, 3000])
+    def test_batch_equals_per_set_loop(self, n, focal):
+        rng = np.random.default_rng([n, focal])
+        mass = _wide_mass(rng, n, focal)
+        pm = bb.ChoquetModel(mass)
+        for rows in (0, 1, 3, 256, 4097):
+            payoffs = _tied_payoffs(rng, rows, n)
+            got = bb.buy_batch(pm, payoffs)
+            want = choquet_batch_per_set(mass.mask_array, mass.weight_array, payoffs)
+            assert got.shape == (rows,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
+
+    @pytest.mark.parametrize("n", [1, 2, 14, 24])
+    @pytest.mark.parametrize("focal", [1, 64, 600, 3000])
+    def test_single_price_is_dot_of_minima(self, n, focal):
+        rng = np.random.default_rng([n, focal, 1])
+        mass = _wide_mass(rng, n, focal)
+        pm = bb.ChoquetModel(mass)
+        for payoff in _tied_payoffs(rng, 4, n):
+            minima = [min_over(int(m), payoff) for m in mass.mask_array]
+            want = np.float64(np.dot(mass.weight_array, minima))
+            got = np.float64(bb.buy(pm, bb.Gamble(mass.space, payoff)))
+            assert got.view(np.int64) == want.view(np.int64)
+
+    def test_member_table_is_at_most_one_byte_per_set_and_outcome(self):
+        for n, focal in ((1, 1), (14, 600), (24, 3000)):
+            mass = _wide_mass(np.random.default_rng(n), n, focal)
+            members = bb.ChoquetModel(mass)._members
+            assert members.dtype == np.uint8
+            assert members.nbytes <= len(mass.weights) * n
+
+    @staticmethod
+    def _transient(call):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def test_batch_transient_is_bounded(self):
+        # one block of gathered minima and running sums, never a full
+        # rows x focal-sets table (600 x 256 doubles are 1.2 MB)
+        rng = np.random.default_rng(8)
+        pm = bb.ChoquetModel(_wide_mass(rng, 14, 600))
+        payoffs = rng.normal(size=(256, 14))
+        assert self._transient(lambda: pm.buy_payoff_batch(payoffs)) < 1 << 20
+
+    def test_single_price_transient_is_bounded(self):
+        # blocks of ranked membership bits, never a full focal-sets x
+        # outcomes table (2^16 x 20 int64 entries are 10.5 MB)
+        n = 20
+        rng = np.random.default_rng(9)
+        masks = 1 + rng.choice((1 << n) - 1, size=1 << 16, replace=False)
+        space = bb.make_space([f"o{i}" for i in range(n)])
+        mass = bb.MassFunction(space, dict.fromkeys(masks.tolist(), 2.0 ** -16))
+        pm = bb.ChoquetModel(mass)
+        payoff = rng.normal(size=n)
+        assert self._transient(lambda: pm.buy_payoff(payoff)) < 2 << 20
 
 
 class TestSell:
