@@ -364,8 +364,10 @@ def certificate_from_negative_mass(
         )
     # the Moebius pass on the sublattice of subset repeats the full pass's
     # operations there in the same order, so its top entry has the same bits
-    singles = 1 << np.flatnonzero(_member_flags(subset, space.n))
-    inside = _member_flags(np.arange(1 << singles.size), singles.size) @ singles
+    singles = (1 << np.flatnonzero(_member_flags(subset, space.n))).tolist()
+    inside = np.zeros(1 << len(singles), dtype=np.int64)  # the sublattice, doubled in
+    for i, single in enumerate(singles):
+        inside[1 << i : 2 << i] = inside[: 1 << i] | single
     values = f.values
     mass_value = float(_butterfly(values[inside], np.subtract)[-1])
     if mass_value >= -tol:

@@ -2,8 +2,10 @@
 and score transaction ledgers, all through JSON documents.
 
 Exit codes: 0 success (for ``audit``: the model passed), 1 the audit found
-the model not belief-consistent, 2 malformed input (schema violations,
-space mismatches), 3 endpoint axiom violation on a belief table.
+the model not belief-consistent and verified its certificate, 2 malformed
+input (unreadable, undecodable, too long or too deep JSON, schema violations,
+numbers out of float range, ragged rows, space mismatches, an unwritable
+``--out``), 3 endpoint axiom violation on a belief table.
 
 Documents use one schema per role; subsets are keyed by comma-joined
 labels in canonical space order (empty string for the empty set), and all
@@ -13,6 +15,7 @@ subset listings are emitted in ascending mask order.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -20,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .audit import (
     exposure_profile,
     sure_loss_exposure,
 )
-from .errors import EndpointViolationError, BeliefBetError, SchemaError, SpaceMismatchError
+from .errors import EndpointViolationError, BeliefBetError, SchemaError
 from .previsions import (
     ChoquetModel,
     Gamble,
@@ -69,7 +72,7 @@ def _load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too long or too deep
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
@@ -81,6 +84,20 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _reader(read: Callable[..., Any]) -> Callable[..., Any]:
+    """The reader, reporting a library error it meets as a schema error."""
+
+    @functools.wraps(read)
+    def checked(*args: Any) -> Any:
+        try:
+            return read(*args)
+        except BeliefBetError as exc:
+            raise SchemaError(str(exc)) from exc
+
+    return checked
+
+
+@_reader
 def _space_from(doc: dict) -> OutcomeSpace:
     labels = doc.get("space")
     if not isinstance(labels, list) or not labels:
@@ -90,10 +107,7 @@ def _space_from(doc: dict) -> OutcomeSpace:
             raise SchemaError(f"outcome labels must be nonempty strings, got {lab!r}")
         if "," in lab:
             raise SchemaError(f"outcome labels cannot contain commas: {lab!r}")
-    try:
-        return make_space(labels)
-    except BeliefBetError as exc:
-        raise SchemaError(str(exc)) from exc
+    return make_space(labels)
 
 
 def _byte_table(labels: Sequence[str]) -> list[str]:
@@ -137,7 +151,10 @@ def parse_subset_key(space: OutcomeSpace, key: str) -> int:
 def _number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"{what} must be a number in float range") from exc
 
 
 def _vector(value: Any, what: str) -> list[float]:
@@ -146,70 +163,53 @@ def _vector(value: Any, what: str) -> list[float]:
     return [_number(v, what) for v in value]
 
 
+def _subset_numbers(payload: dict, field: str, space: OutcomeSpace) -> dict[int, float]:
+    """The numbers of a subset-keyed object by mask, in document order."""
+    numbers: dict[int, float] = {}
+    for key, value in payload.items():
+        mask = parse_subset_key(space, key)
+        if mask in numbers:
+            raise SchemaError(f"subset {key!r} listed twice")
+        numbers[mask] = _number(value, f"{field}[{key!r}]")
+    return numbers
+
+
+@_reader
 def _mass_from(doc: dict, space: OutcomeSpace) -> MassFunction:
     payload = doc.get("mass")
     if not isinstance(payload, dict) or not payload:
         raise SchemaError("field 'mass' must be a nonempty object of subset keys to weights")
-    weights: dict[int, float] = {}
-    for key, value in payload.items():
-        if not isinstance(key, str):
-            raise SchemaError(f"subset keys must be strings, got {key!r}")
-        mask = parse_subset_key(space, key)
-        if mask in weights:
-            raise SchemaError(f"subset {key!r} listed twice")
-        weights[mask] = _number(value, f"mass[{key!r}]")
-    try:
-        return MassFunction(space, weights)
-    except BeliefBetError as exc:
-        raise SchemaError(str(exc)) from exc
+    return MassFunction(space, _subset_numbers(payload, "mass", space))
 
 
+@_reader
 def _set_function_from(doc: dict, space: OutcomeSpace) -> SetFunction:
     payload = doc.get("values")
     if not isinstance(payload, dict):
         raise SchemaError("field 'values' must be an object of subset keys to numbers")
-    values = np.zeros(space.size)
-    seen = set()
-    for key, value in payload.items():
-        if not isinstance(key, str):
-            raise SchemaError(f"subset keys must be strings, got {key!r}")
-        mask = parse_subset_key(space, key)
-        if mask in seen:
-            raise SchemaError(f"subset {key!r} listed twice")
-        seen.add(mask)
-        values[mask] = _number(value, f"values[{key!r}]")
-    if len(seen) != space.size:
-        raise SchemaError(
-            f"'values' must cover all {space.size} subsets, got {len(seen)}"
-        )
-    try:
-        return SetFunction(space, values)
-    except BeliefBetError as exc:
-        raise SchemaError(str(exc)) from exc
+    values = _subset_numbers(payload, "values", space)
+    if len(values) != space.size:
+        raise SchemaError(f"'values' must cover all {space.size} subsets, got {len(values)}")
+    return SetFunction(space, [values[mask] for mask in range(space.size)])
 
 
+@_reader
 def _model_from(doc: dict) -> PriceModel:
     space = _space_from(doc)
     kind = doc.get("kind")
-    try:
-        if kind == "linear":
-            return LinearModel(space, np.array(_vector(doc.get("prob"), "prob")))
-        if kind == "choquet":
-            return ChoquetModel(_mass_from(doc, space))
-        if kind == "lower_envelope":
-            rows = doc.get("rows")
-            if not isinstance(rows, list) or not rows:
-                raise SchemaError("field 'rows' must be a nonempty list of probability vectors")
-            return LowerEnvelopeModel(
-                space, np.array([_vector(r, "row") for r in rows])
-            )
-    except SchemaError:
-        raise
-    except BeliefBetError as exc:
-        raise SchemaError(str(exc)) from exc
+    if kind == "linear":
+        return LinearModel(space, np.array(_vector(doc.get("prob"), "prob")))
+    if kind == "choquet":
+        return ChoquetModel(_mass_from(doc, space))
+    if kind == "lower_envelope":
+        rows = doc.get("rows")
+        if not isinstance(rows, list) or not rows:
+            raise SchemaError("field 'rows' must be a nonempty list of probability vectors")
+        return LowerEnvelopeModel(space, [_vector(r, "row") for r in rows])
     raise SchemaError(f"model kind must be one of {_MODEL_KINDS}, got {kind!r}")
 
 
+@_reader
 def _gambles_from(doc: dict) -> tuple[OutcomeSpace, list[tuple[str, Gamble]]]:
     space = _space_from(doc)
     payload = doc.get("gambles")
@@ -223,13 +223,11 @@ def _gambles_from(doc: dict) -> tuple[OutcomeSpace, list[tuple[str, Gamble]]]:
         if not isinstance(name, str):
             raise SchemaError(f"gamble name must be a string, got {name!r}")
         payoff = _vector(entry.get("payoff"), f"payoff of {name}")
-        try:
-            out.append((name, Gamble(space, np.array(payoff))))
-        except BeliefBetError as exc:
-            raise SchemaError(str(exc)) from exc
+        out.append((name, Gamble(space, np.array(payoff))))
     return space, out
 
 
+@_reader
 def _ledger_from(doc: dict) -> tuple[OutcomeSpace, TransactionLedger]:
     space = _space_from(doc)
 
@@ -243,16 +241,10 @@ def _ledger_from(doc: dict) -> tuple[OutcomeSpace, TransactionLedger]:
                 raise SchemaError(f"each {field} entry needs 'payoff' and 'price' fields")
             payoff = _vector(entry["payoff"], f"{field} payoff")
             price = _number(entry["price"], f"{field} price")
-            try:
-                out.append((Gamble(space, np.array(payoff)), price))
-            except BeliefBetError as exc:
-                raise SchemaError(str(exc)) from exc
+            out.append((Gamble(space, np.array(payoff)), price))
         return tuple(out)
 
-    try:
-        return space, TransactionLedger(side("buys"), side("sells"))
-    except BeliefBetError as exc:
-        raise SchemaError(str(exc)) from exc
+    return space, TransactionLedger(side("buys"), side("sells"))
 
 
 # ------------------------------------------------------------- rendering
@@ -264,8 +256,11 @@ def _fmt(x: float) -> str:
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.writelines(pieces)
 
@@ -396,12 +391,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     space = _space_from(doc)
     kind = doc.get("kind")
     if args.to == "belief":
-        if kind == "mass" or kind == "choquet":
-            mass = _mass_from(doc, space)
-        else:
+        if kind not in ("mass", "choquet"):
             raise SchemaError(
                 f"direction 'belief' needs a mass or choquet document, got kind {kind!r}"
             )
+        mass = _mass_from(doc, space)
         values = _Listing(space, np.arange(space.size), mass_to_belief(mass).values)
         if args.format == "machine":
             out_doc = {"space": list(space.labels), "kind": "belief", "values": values}
@@ -648,9 +642,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EndpointViolationError as exc:
         print(f"beliefbet: endpoint axiom violation: {exc}", file=sys.stderr)
         return 3
-    except SpaceMismatchError as exc:
-        print(f"beliefbet: {exc}", file=sys.stderr)
-        return 2
     except BeliefBetError as exc:
         print(f"beliefbet: {exc}", file=sys.stderr)
         return 2

@@ -237,7 +237,12 @@ class LowerEnvelopeModel:
     kind = "lower_envelope"
 
     def __post_init__(self) -> None:
-        r = np.array(self.rows, dtype=float)
+        try:
+            r = np.array(self.rows, dtype=float)
+        except ValueError as exc:
+            raise BeliefBetError(
+                f"need a nonempty (k, {self.space.n}) row matrix, got ragged or non-numeric rows"
+            ) from exc
         if r.ndim != 2 or r.shape[0] < 1 or r.shape[1] != self.space.n:
             raise BeliefBetError(
                 f"need a nonempty (k, {self.space.n}) row matrix, got shape {r.shape}"

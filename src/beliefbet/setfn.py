@@ -178,8 +178,10 @@ def mobius_transform(values: np.ndarray) -> np.ndarray:
 
 
 def _member_flags(masks: int | np.ndarray, n: int) -> np.ndarray:
-    """out[..., i] is True iff outcome i belongs to the mask."""
-    return (np.asarray(masks)[..., None] >> np.arange(n) & 1).astype(bool)
+    """out[..., i] is True iff outcome i belongs to the mask: the low n bits of
+    each mask's little-endian uint32 bytes, one byte per bit."""
+    raw = np.array(masks, dtype="<u4")[..., None].view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little").view(bool)
 
 
 def _deletion_family(subset: int, n: int) -> np.ndarray:

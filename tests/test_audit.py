@@ -824,3 +824,32 @@ class TestCertificateWeight:
         assert isinstance(report.induced_mass, bb.NegativeMassReport)
         witness = report.certificate.witness
         assert witness.mass == dict(report.induced_mass.entries)[witness.subset]
+
+    def test_whole_space_witness_at_twenty_outcomes(self):
+        # the sublattice of a 20-outcome witness has 2^20 masks; building it
+        # must not take a (2^20, 20) member table
+        n = 20
+        rng = np.random.default_rng(20)
+        sp = bb.make_space([f"w{i}" for i in range(n)])
+        values = rng.uniform(0.0, 0.01, size=sp.size)
+        values[0], values[-1] = 0.0, 1.0
+        values[sp.full_mask ^ (1 << np.arange(n))] = 0.6  # every pair slack is about -0.2
+        f = bb.SetFunction(sp, values)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            cert = bb.certificate_from_negative_mass(f, sp.full_mask)
+            transient = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert transient < 32 << 20
+        weight = bb.mobius_transform(values)[-1]
+        assert np.float64(cert.witness.mass).view(np.int64) == np.float64(weight).view(np.int64)
+        family = sorted(sp.full_mask ^ (1 << i) for i in range(n))
+        slacks = [(values[-1] + values[a & b] - values[a] - values[b], a, b)
+                  for k, a in enumerate(family) for b in family[k + 1 :]]
+        slack, a, b = min(slacks, key=lambda t: t[0])
+        assert cert.buy_gap == -slack
+        assert [g.payoff.tolist() for g in cert.xs] == [
+            bb.indicator(sp, a).payoff.tolist(), bb.indicator(sp, b).payoff.tolist()
+        ]

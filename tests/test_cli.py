@@ -1,6 +1,7 @@
 """End-to-end command line behavior: schemas, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -485,3 +486,301 @@ class TestMachineRenderer:
         keys = beliefbet.cli.subset_keys(sp.labels, masks)
         assert keys == [",".join(sp.members(int(m))) for m in masks]
         assert [beliefbet.cli.subset_key(sp, int(m)) for m in masks[:40]] == keys[:40]
+
+
+# ----------------------------------------------------- malformed documents
+
+S3 = ["a", "b", "c"]
+WELL_FORMED = {
+    "model": {"space": S3, "kind": "linear", "prob": [0.25, 0.25, 0.5]},
+    "gambles": {"space": S3, "gambles": [{"payoff": [1, 0, 0]}]},
+    "ledger": {"space": S3, "buys": [{"payoff": [1, 0, 0], "price": 0.25}]},
+}
+#: Every command line that reads a document, with the document under test at
+#: "doc" and well-formed companions at "model", "gambles" and "ledger".
+READERS = {
+    "to-belief": ["transform", "--to", "belief", "doc"],
+    "to-belief-machine": ["transform", "--to", "belief", "doc", "--format", "machine"],
+    "to-mass": ["transform", "--to", "mass", "doc"],
+    "to-mass-machine": ["transform", "--to", "mass", "doc", "--format", "machine"],
+    "audit": ["audit", "doc"],
+    "price-model": ["price", "doc", "gambles"],
+    "price-gambles": ["price", "model", "doc"],
+    "dutchbook-model": ["dutchbook", "doc", "ledger"],
+    "dutchbook-ledger": ["dutchbook", "model", "doc"],
+}
+MASS_READERS = ("to-belief", "to-belief-machine")
+BELIEF_READERS = ("to-mass", "to-mass-machine")
+MODEL_COMMANDS = ("audit", "price-model", "dutchbook-model")
+MODEL_READERS = BELIEF_READERS + MODEL_COMMANDS
+CHOQUET_READERS = MASS_READERS + MODEL_READERS
+NO_FILE = object()
+HUGE = 10**400  # an integer JSON reads exactly and a float cannot hold
+
+
+def json_error(raw):
+    try:
+        json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        return "schema error: {path} is not valid JSON: " + str(exc)
+    raise AssertionError("the text is valid JSON")
+
+
+def linear(prob):
+    return {"space": S3, "kind": "linear", "prob": prob}
+
+
+def envelope(rows):
+    return {"space": S3, "kind": "lower_envelope", "rows": rows}
+
+
+def choquet(mass):
+    return {"space": S3, "kind": "choquet", "mass": mass}
+
+
+def belief(values):
+    return {"space": S3, "kind": "belief", "values": values}
+
+
+def gambles(payload):
+    return {"space": S3, "gambles": payload}
+
+
+def ledger(**sides):
+    return {"space": S3, **sides}
+
+
+FULL_BELIEF = {"": 0, "a": 0.25, "b": 0.25, "c": 0.5, "a,b": 0.5, "a,c": 0.75, "b,c": 0.75, "a,b,c": 1}
+UNDECODABLE = b'{"space": ["\xff"]}'
+TOO_LONG = '{"space": ' + "1" * 5000 + "}"
+TOO_DEEP = '{"space": ' + "[" * 100_000 + "]" * 100_000 + "}"
+SPACE_MISMATCH = {"space": ["x", "y", "z"]}
+
+# (id, command lines, document, stderr after "beliefbet: "); "escape-" cases
+# used to leave main() as a traceback.
+MALFORMED = [
+    ("missing-file", tuple(READERS), NO_FILE,
+     "schema error: cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("not-json", tuple(READERS), b"not json {", json_error(b"not json {")),
+    ("top-level-list", tuple(READERS), [1, 2], "schema error: {path}: top level must be an object"),
+    ("escape-undecodable", tuple(READERS), UNDECODABLE, json_error(UNDECODABLE)),
+    ("escape-too-long", tuple(READERS), TOO_LONG.encode(), json_error(TOO_LONG)),
+    ("escape-too-deep", tuple(READERS), TOO_DEEP.encode(), json_error(TOO_DEEP)),
+    ("no-space", tuple(READERS), {"kind": "linear"},
+     "schema error: field 'space' must be a nonempty list of labels"),
+    ("empty-space", tuple(READERS), {"space": []},
+     "schema error: field 'space' must be a nonempty list of labels"),
+    ("label-not-string", tuple(READERS), {"space": ["a", 1]},
+     "schema error: outcome labels must be nonempty strings, got 1"),
+    ("empty-label", tuple(READERS), {"space": [""]},
+     "schema error: outcome labels must be nonempty strings, got ''"),
+    ("comma-label", tuple(READERS), {"space": ["a,b"]},
+     "schema error: outcome labels cannot contain commas: 'a,b'"),
+    ("repeated-label", tuple(READERS), {"space": ["a", "a"]},
+     "schema error: outcome labels must be distinct: ('a', 'a')"),
+    ("too-many-outcomes", tuple(READERS), {"space": [f"o{i}" for i in range(25)]},
+     "schema error: need between 1 and 24 outcomes, got 25"),
+    # models
+    ("unknown-kind", MODEL_COMMANDS, {"space": S3, "kind": "mystery"},
+     "schema error: model kind must be one of ('linear', 'choquet', 'lower_envelope'), got 'mystery'"),
+    ("mass-as-model", MODEL_COMMANDS, {"space": S3, "kind": "mass", "mass": {"a": 1}},
+     "schema error: model kind must be one of ('linear', 'choquet', 'lower_envelope'), got 'mass'"),
+    ("unknown-kind-to-mass", BELIEF_READERS, {"space": S3, "kind": "mystery"},
+     "schema error: direction 'mass' needs a belief table or model document, got kind 'mystery'"),
+    ("model-to-belief", MASS_READERS, linear([0.25, 0.25, 0.5]),
+     "schema error: direction 'belief' needs a mass or choquet document, got kind 'linear'"),
+    ("no-prob", MODEL_READERS, {"space": S3, "kind": "linear"},
+     "schema error: prob must be a list of numbers"),
+    ("prob-text", MODEL_READERS, linear([0.5, "x", 0.5]), "schema error: prob must be a number, got 'x'"),
+    ("prob-bool", MODEL_READERS, linear([True, 0, 0]), "schema error: prob must be a number, got True"),
+    ("prob-short", MODEL_READERS, linear([0.5, 0.5]), "schema error: need 3 probabilities, got shape (2,)"),
+    ("prob-negative", MODEL_READERS, linear([-0.5, 1, 0.5]),
+     "schema error: probability vector must be nonnegative"),
+    ("prob-sum", MODEL_READERS, linear([0.25, 0.25, 0.25]),
+     "schema error: probability vector must sum to 1, got 0.75"),
+    ("prob-infinite", MODEL_READERS, linear([math.inf, 0, 0]),
+     "schema error: probability vector must be finite"),
+    ("escape-prob-huge", MODEL_READERS, linear([HUGE, 0, 0]),
+     "schema error: prob must be a number in float range"),
+    ("no-rows", MODEL_READERS, {"space": S3, "kind": "lower_envelope"},
+     "schema error: field 'rows' must be a nonempty list of probability vectors"),
+    ("empty-rows", MODEL_READERS, envelope([]),
+     "schema error: field 'rows' must be a nonempty list of probability vectors"),
+    ("row-not-list", MODEL_READERS, envelope([0.5]), "schema error: row must be a list of numbers"),
+    ("row-short", MODEL_READERS, envelope([[0.5, 0.5]]),
+     "schema error: need a nonempty (k, 3) row matrix, got shape (1, 2)"),
+    ("row-sum", MODEL_READERS, envelope([[0.5, 0.5, 0], [0.5, 0.5, 0.5]]),
+     "schema error: row 1 must sum to 1, got 1.5"),
+    ("escape-row-huge", MODEL_READERS, envelope([[0.5, 0.5, 0], [HUGE, 0, 0]]),
+     "schema error: row must be a number in float range"),
+    ("escape-ragged-rows", MODEL_READERS, envelope([[0.5, 0.5, 0], [1, 0]]),
+     "schema error: need a nonempty (k, 3) row matrix, got ragged or non-numeric rows"),
+    # mass documents and Choquet models
+    ("no-mass", CHOQUET_READERS, {"space": S3, "kind": "choquet"},
+     "schema error: field 'mass' must be a nonempty object of subset keys to weights"),
+    ("empty-mass", CHOQUET_READERS, choquet({}),
+     "schema error: field 'mass' must be a nonempty object of subset keys to weights"),
+    ("mass-list", MASS_READERS, {"space": S3, "kind": "mass", "mass": [1]},
+     "schema error: field 'mass' must be a nonempty object of subset keys to weights"),
+    ("mass-unknown-label", CHOQUET_READERS, choquet({"a,d": 1}),
+     "schema error: subset key 'a,d': unknown outcome label 'd'"),
+    ("mass-repeated-label", CHOQUET_READERS, choquet({"a,a": 1}),
+     "schema error: subset key repeats a label: 'a,a'"),
+    ("mass-listed-twice", CHOQUET_READERS, choquet({"a,b": 0.5, "b,a": 0.5}),
+     "schema error: subset 'b,a' listed twice"),
+    ("mass-text", CHOQUET_READERS, choquet({"a": "x"}), "schema error: mass['a'] must be a number, got 'x'"),
+    ("mass-empty-set", CHOQUET_READERS, choquet({"": 0.5, "a": 0.5}),
+     "schema error: the empty set cannot carry mass"),
+    ("mass-zero", CHOQUET_READERS, choquet({"a": 0, "b": 1}),
+     "schema error: focal weights must be positive, got 0.0 on mask 1"),
+    ("mass-sum", CHOQUET_READERS, choquet({"a": 0.25, "b": 0.25}),
+     "schema error: focal weights must sum to 1, got 0.5"),
+    ("escape-mass-huge", CHOQUET_READERS, choquet({"a": HUGE}),
+     "schema error: mass['a'] must be a number in float range"),
+    # belief tables
+    ("no-values", BELIEF_READERS, {"space": S3, "kind": "belief"},
+     "schema error: field 'values' must be an object of subset keys to numbers"),
+    ("values-partial", BELIEF_READERS, belief({"": 0, "a,b,c": 1}),
+     "schema error: 'values' must cover all 8 subsets, got 2"),
+    ("values-unknown-label", BELIEF_READERS, belief({**FULL_BELIEF, "d": 0}),
+     "schema error: subset key 'd': unknown outcome label 'd'"),
+    ("values-listed-twice", BELIEF_READERS, belief({**FULL_BELIEF, "b,a": 0.5}),
+     "schema error: subset 'b,a' listed twice"),
+    ("values-text", BELIEF_READERS, belief({**FULL_BELIEF, "a": "x"}),
+     "schema error: values['a'] must be a number, got 'x'"),
+    ("values-infinite", BELIEF_READERS, belief({**FULL_BELIEF, "a": math.inf}),
+     "schema error: set function values must be finite"),
+    ("escape-values-huge", BELIEF_READERS, belief({**FULL_BELIEF, "a": HUGE}),
+     "schema error: values['a'] must be a number in float range"),
+    ("values-endpoint", BELIEF_READERS, belief({**FULL_BELIEF, "a,b,c": 0.9}),
+     "endpoint axiom violation: endpoints must be 0 and 1, got np.float64(0.0) and np.float64(0.9)"),
+    # gambles
+    ("no-gambles", ("price-gambles",), {"space": S3},
+     "schema error: field 'gambles' must be a nonempty list"),
+    ("gamble-not-object", ("price-gambles",), gambles([[1, 0, 0]]),
+     "schema error: each gamble must be an object with a 'payoff' field"),
+    ("gamble-name", ("price-gambles",), gambles([{"name": 3, "payoff": [1, 0, 0]}]),
+     "schema error: gamble name must be a string, got 3"),
+    ("gamble-no-payoff", ("price-gambles",), gambles([{"name": "g"}]),
+     "schema error: payoff of g must be a list of numbers"),
+    ("gamble-short", ("price-gambles",), gambles([{"payoff": [1, 0]}]),
+     "schema error: need 3 payoffs, got shape (2,)"),
+    ("gamble-infinite", ("price-gambles",), gambles([{"payoff": [1, -math.inf, 0]}]),
+     "schema error: payoffs must be finite"),
+    ("escape-gamble-huge", ("price-gambles",), gambles([{"payoff": [1, HUGE, 0]}]),
+     "schema error: payoff of g1 must be a number in float range"),
+    ("gamble-space", ("price-gambles",), {**SPACE_MISMATCH, "gambles": [{"payoff": [1, 0, 0]}]},
+     "schema error: model and gamble documents use different spaces"),
+    # ledgers
+    ("buys-not-list", ("dutchbook-ledger",), ledger(buys={}), "schema error: field 'buys' must be a list"),
+    ("buy-no-price", ("dutchbook-ledger",), ledger(buys=[{"payoff": [1, 0, 0]}]),
+     "schema error: each buys entry needs 'payoff' and 'price' fields"),
+    ("sell-not-object", ("dutchbook-ledger",), ledger(sells=[1]),
+     "schema error: each sells entry needs 'payoff' and 'price' fields"),
+    ("buy-payoff-text", ("dutchbook-ledger",), ledger(buys=[{"payoff": "x", "price": 0}]),
+     "schema error: buys payoff must be a list of numbers"),
+    ("sell-price-text", ("dutchbook-ledger",), ledger(sells=[{"payoff": [1, 0, 0], "price": "x"}]),
+     "schema error: sells price must be a number, got 'x'"),
+    ("buy-short", ("dutchbook-ledger",), ledger(buys=[{"payoff": [1, 0], "price": 0}]),
+     "schema error: need 3 payoffs, got shape (2,)"),
+    ("no-transactions", ("dutchbook-ledger",), ledger(buys=[], sells=[]),
+     "schema error: a ledger needs at least one transaction"),
+    ("price-infinite", ("dutchbook-ledger",), ledger(buys=[{"payoff": [1, 0, 0], "price": math.inf}]),
+     "schema error: ledger prices must be finite"),
+    ("escape-price-huge", ("dutchbook-ledger",), ledger(sells=[{"payoff": [1, 0, 0], "price": -HUGE}]),
+     "schema error: sells price must be a number in float range"),
+    ("ledger-space", ("dutchbook-ledger",), {**SPACE_MISMATCH, "buys": [{"payoff": [1, 0, 0], "price": 0}]},
+     "schema error: model and ledger documents use different spaces"),
+]
+
+
+def malformed_runs():
+    for case, readers, doc, stderr in MALFORMED:
+        for reader in readers:
+            yield pytest.param(reader, doc, stderr, id=f"{case}-{reader}")
+
+
+class TestMalformedDocuments:
+    """Every malformed document exits 2 (3 for a belief table's endpoints)
+    with one stderr line, whichever command reads it."""
+
+    @staticmethod
+    def argv(tmp_path, reader, doc):
+        paths = {role: write(tmp_path, f"{role}.json", good) for role, good in WELL_FORMED.items()}
+        paths["doc"] = str(tmp_path / "doc.json")
+        if doc is not NO_FILE:
+            raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+            (tmp_path / "doc.json").write_bytes(raw)
+        return [paths.get(arg, arg) for arg in READERS[reader]], paths["doc"]
+
+    @pytest.mark.parametrize("reader, doc, stderr", malformed_runs())
+    def test_exit_code_and_message(self, tmp_path, capsys, reader, doc, stderr):
+        argv, path = self.argv(tmp_path, reader, doc)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3 if stderr.startswith("endpoint") else 2, "")
+        assert captured.err == "beliefbet: " + stderr.replace("{path}", path) + "\n"
+
+    @pytest.mark.parametrize("reader, doc", [
+        ("to-mass", choquet({"a": 0.5, "a,b,c": 0.5})),
+        ("to-belief-machine", choquet({"a": 0.5, "a,b,c": 0.5})),
+        # the audit reaches its exit 1 verdict before the write fails
+        ("audit", envelope([[0.5, 0.5, 0], [0, 0, 1]])),
+        ("price-gambles", WELL_FORMED["gambles"]),
+        ("dutchbook-ledger", WELL_FORMED["ledger"]),
+    ])
+    def test_unwritable_out(self, tmp_path, capsys, reader, doc):
+        argv, _ = self.argv(tmp_path, reader, doc)
+        out = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(OSError) as exc:
+            open(out, "w")
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"beliefbet: schema error: cannot write {out}: {exc.value}\n"
+
+
+MODEL_B = {"space": S3, "kind": "lower_envelope", "rows": [[0.5, 0.5, 0], [0, 0, 1]]}
+
+
+class TestChoquetGapCertificate:
+    """Model B of scripts/audit_demo.py: its indicator prices invert to a mass,
+    yet a general gamble is priced above its Choquet value."""
+
+    def test_human_readout(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", MODEL_B)
+        assert main(["audit", model]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        cert = lines.index("certificate (choquet_gap):")
+        assert lines[cert + 1].startswith("  gamble (")
+        assert ": model price " in lines[cert + 1] and ", choquet price " in lines[cert + 1]
+        assert lines[cert + 2].startswith("  xs: (")
+        assert "*1_{a,c}" in lines[cert + 3]
+        assert lines[-1] == "certificate verified: True"
+
+    def test_machine_report_reverifies(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", MODEL_B)
+        assert main(["audit", model, "--format", "machine"]) == 1
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        cert = doc["certificate"]
+        assert cert["kind"] == "choquet_gap"
+        assert cert["model_price"] > cert["choquet_price"] + cert["buy_gap"] / 2
+        assert len(cert["gamble"]["payoff"]) == 3
+        # a third party needs only the document and the model
+        space = bb.make_space(doc["space"])
+        pm = bb.LowerEnvelopeModel(space, np.array(MODEL_B["rows"]))
+        side = lambda gs: tuple(bb.Gamble(space, np.array(g["payoff"])) for g in gs)
+        witness = beliefbet.audit.ChoquetGapWitness(
+            bb.Gamble(space, np.array(cert["gamble"]["payoff"])), cert["model_price"], cert["choquet_price"]
+        )
+        rebuilt = beliefbet.audit.ViolationCertificate(
+            space, side(cert["xs"]), side(cert["ys"]), cert["buy_gap"], witness
+        )
+        assert beliefbet.audit.verify_certificate(pm, rebuilt)
+
+    def test_consistent_mass_listing(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", MODEL_B)
+        assert main(["transform", "--to", "mass", model]) == 0
+        assert capsys.readouterr().out == "{a,c}: 0.5\n{b,c}: 0.5\n"

@@ -1,6 +1,7 @@
 """Spaces, lattice transforms, and the mass <-> belief correspondence."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -457,3 +458,27 @@ class TestAdditiveTablesByDoubling:
             )
             linear = bb.LinearModel(space, rows[0]).induced_values()
             assert np.array_equal(linear.view(np.int64), zeta_rows[0].view(np.int64))
+
+
+class TestMemberFlags:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 24])
+    def test_bits_of_every_shape(self, n):
+        masks = np.random.default_rng(n).integers(0, 1 << n, size=(3, 40))
+        for given in (masks, masks[:, ::3], masks[0].tolist(), int(masks[0, 0]), masks[:0]):
+            expected = (np.asarray(given)[..., None] >> np.arange(n) & 1).astype(bool)
+            got = beliefbet.setfn._member_flags(given, n)
+            assert got.dtype == bool and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    def test_no_wide_transient(self):
+        # one byte per mask and outcome for the result, not eight on the way
+        masks = np.random.default_rng(5).integers(0, 1 << 20, size=1 << 16)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            flags = beliefbet.setfn._member_flags(masks, 20)
+            transient = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert flags.shape == (1 << 16, 20)
+        assert transient < 3 << 20
