@@ -45,6 +45,8 @@ from .previsions import (
     induced_set_function,
     payoff_layers,
     sell,
+    _buy_blocks,
+    _buy_each,
     _check_same_space,
 )
 from .setfn import (
@@ -208,7 +210,6 @@ def coherence_probe(
     by = buy_batch(pm, ys)
 
     def probe(slacks: np.ndarray) -> PropertyProbe:
-        slacks = np.asarray(slacks, dtype=float)
         return PropertyProbe(
             worst_slack=float(slacks.min()),
             checked=int(slacks.size),
@@ -222,9 +223,8 @@ def coherence_probe(
     )
     superadd = buy_batch(pm, xs + ys) - bx - by
     translation = -np.abs(buy_batch(pm, xs + shifts[:, None]) - bx - shifts)
-    # duality compares the batch route against the scalar sell route
-    dual_rhs = np.array([-sell(pm, Gamble(pm.space, -x)) for x in xs])
-    duality = -np.abs(bx - dual_rhs)
+    # batch route against the scalar sell route: -sell(-x) is buy_payoff(x) exactly
+    duality = -np.abs(bx - _buy_each(pm, xs))
 
     probes = {
         "lower_bound": probe(lower),
@@ -519,27 +519,28 @@ class AuditReport:
 
 
 def _sampled_sure_loss(pm: PriceModel, plan: SamplePlan) -> float | None:
-    """Worst exposure over seeded ledgers priced at the model's own quotes."""
+    """Worst exposure over seeded ledgers priced at the model's own quotes.
+    All ledgers are drawn first; every side keeps the price bits of its own
+    ``buy_batch`` call, and each profile is summed buys first, then sells."""
     if plan.num_ledgers == 0:
         return None
     rng = _rng(plan, _LEDGER_STREAM)
     lo, hi = plan.payoff_range
     n = pm.space.n
-    worst = math.inf
+    buys, sells = [], []
     for _ in range(plan.num_ledgers):
         num_buys, num_sells = 0, 0
         while num_buys + num_sells == 0:
             num_buys = int(rng.integers(0, 6))
             num_sells = int(rng.integers(0, 6))
-        profile = np.zeros(n)
-        if num_buys:
-            payoffs = rng.uniform(lo, hi, size=(num_buys, n))
-            prices = buy_batch(pm, payoffs)
-            profile += (payoffs - prices[:, None]).sum(axis=0)
-        if num_sells:
-            payoffs = rng.uniform(lo, hi, size=(num_sells, n))
-            prices = -buy_batch(pm, -payoffs)
-            profile += (prices[:, None] - payoffs).sum(axis=0)
+        buys.append(rng.uniform(lo, hi, size=(num_buys, n)))
+        sells.append(rng.uniform(lo, hi, size=(num_sells, n)))
+    worst = math.inf
+    bids, asks = _buy_blocks(pm, buys), _buy_blocks(pm, [-payoffs for payoffs in sells])
+    for bought, bid, sold, ask in zip(buys, bids, sells, asks):
+        # an empty side adds +0.0, which leaves a sum begun at +0.0 unchanged
+        profile = np.zeros(n) + (bought - bid[:, None]).sum(axis=0)
+        profile += (-ask[:, None] - sold).sum(axis=0)
         worst = min(worst, float(profile.max()))
     return worst
 

@@ -12,14 +12,13 @@ Three closed-form model families cover everything this package audits:
   finite list of probability vectors.
 
 The Choquet pricer works on blocks of focal sets in ascending mask order.
-A batch takes each focal minimum by gathering payoff columns through a
-padded member table, and sums the weighted minima of a block with one
-running accumulate. The minima are exact and the sum runs from 0 in focal
-order, term by term, so every price has the bits of the plain loop
-``0 + w0*min0 + w1*min1 + ...``. A single price resolves each focal set by
-its first member in ascending payoff order instead, a sweep that shares no
-code with the batch gather; the duality probe of the audit plays the two
-against each other.
+A batch gathers each focal minimum through a padded member table and adds
+the weighted minima of a block to running totals from 0 in focal order, so
+each price has the bits of the loop ``0 + w0*min0 + w1*min1 + ...`` in any
+batch; only this pricer is row-independent bit for bit. A scalar price
+takes each focal set's first member in ascending payoff order instead, a
+sweep over blocks of rows that shares no code with the gather; the audit's
+duality probe plays the two against each other.
 
 All values are immutable; all functions are pure.
 """
@@ -152,28 +151,32 @@ class LinearModel:
 _GATHER_BUDGET = 1 << 15
 
 
-def _focal_minima(masks: np.ndarray, payoff: np.ndarray) -> np.ndarray:
-    """min of payoff over each focal set: the set's first member in ascending
-    (stable) payoff order, found per block of sets as the first 1 among its
+def _focal_minima(masks: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """(rows, sets) minima: each set's first member in the row's stable
+    ascending payoff order, found per block of sets as the first 1 among its
     membership bits taken in that order."""
-    order = np.argsort(payoff, kind="stable")
-    mins = np.empty(masks.shape[0])
+    order = np.argsort(payoffs, axis=1, kind="stable")
+    ranked_payoffs = np.take_along_axis(payoffs, order, axis=1)
+    rows = np.arange(payoffs.shape[0])
+    mins = np.empty((masks.shape[0], rows.size))
     step = max(1, _GATHER_BUDGET // order.size)
     for start in range(0, masks.shape[0], step):
-        ranked = masks[start : start + step, None] >> order
+        ranked = masks[start : start + step, None, None] >> order
         ranked &= 1
-        mins[start : start + step] = payoff[order[ranked.argmax(axis=1)]]
-    return mins
+        mins[start : start + step] = ranked_payoffs[rows, ranked.argmax(axis=2)]
+    return mins.T.copy()
 
 
 @dataclass(frozen=True, eq=False)
 class ChoquetModel:
     """Prices every gamble at its focal-weighted worst case.
 
-    ``_members`` is the padded member table: row k lists the outcomes of
-    focal set k in ascending order, padded to the largest focal size with
-    its first member, which leaves every minimum unchanged. It is uint8, so
-    it takes at most one byte per focal set and outcome.
+    ``_members`` is the padded member table of the batch gather: row k lists
+    the outcomes of focal set k in ascending order, padded to the largest
+    focal size with its first member, which leaves every minimum unchanged.
+    It is uint8, at most one byte per focal set and outcome. The scalar price
+    is the rank-order sweep over blocks of rows; a row's batch price has the
+    same bits in any batch, which no other family promises.
     """
 
     mass: MassFunction
@@ -193,8 +196,7 @@ class ChoquetModel:
         return self.mass.space
 
     def buy_payoff(self, payoff: np.ndarray) -> float:
-        mins = _focal_minima(self.mass.mask_array, payoff)
-        return float(np.dot(self.mass.weight_array, mins))
+        return float(_buy_each(self, np.reshape(payoff, (1, -1)))[0])
 
     def buy_payoff_batch(self, payoffs: np.ndarray) -> np.ndarray:
         """Prices block by block of focal sets. Row 0 of ``table`` holds the
@@ -265,6 +267,28 @@ class LowerEnvelopeModel:
 
 
 PriceModel = Union[LinearModel, ChoquetModel, LowerEnvelopeModel]
+
+
+def _row_exact(pm: PriceModel) -> bool:
+    """Whether rows may be priced in whole-sample passes: Choquet models only."""
+    return isinstance(pm, ChoquetModel)
+
+
+def _buy_each(pm: PriceModel, payoffs: np.ndarray) -> np.ndarray:
+    """float(pm.buy_payoff(row)) for every row, bit for bit."""
+    if not _row_exact(pm):
+        return np.array([float(pm.buy_payoff(row)) for row in payoffs])
+    masks = pm.mass.mask_array
+    step = max(1, _GATHER_BUDGET // masks.size)
+    mins = (row for s in range(0, len(payoffs), step) for row in _focal_minima(masks, payoffs[s : s + step]))
+    return np.array([float(np.dot(pm.mass.weight_array, row)) for row in mins])
+
+
+def _buy_blocks(pm: PriceModel, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """buy_batch(pm, block) for every nonempty block, bit for bit."""
+    if not _row_exact(pm):
+        return [buy_batch(pm, b) if len(b) else np.empty(0) for b in blocks]
+    return np.split(buy_batch(pm, np.concatenate(blocks)), np.cumsum([len(b) for b in blocks[:-1]]))
 
 
 def buy(pm: PriceModel, gamble: Gamble) -> float:

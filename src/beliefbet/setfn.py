@@ -216,7 +216,7 @@ def _dense_values(space: OutcomeSpace, values: np.ndarray, what: str) -> np.ndar
 def _check_endpoints(values: np.ndarray) -> None:
     if abs(values[0]) > EXACT_TOL or abs(values[-1] - 1.0) > EXACT_TOL:
         raise EndpointViolationError(
-            f"endpoints must be 0 and 1, got {values[0]!r} and {values[-1]!r}"
+            f"endpoints must be 0 and 1, got {float(values[0])!r} and {float(values[-1])!r}"
         )
 
 
@@ -403,9 +403,9 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     """
     values = f.values
     if abs(values[0]) > EXACT_TOL:
-        return BeliefCheck(False, reason=f"empty set must map to 0, got {values[0]!r}")
+        return BeliefCheck(False, reason=f"empty set must map to 0, got {float(values[0])!r}")
     if abs(values[-1] - 1.0) > EXACT_TOL:
-        return BeliefCheck(False, reason=f"full set must map to 1, got {values[-1]!r}")
+        return BeliefCheck(False, reason=f"full set must map to 1, got {float(values[-1])!r}")
     mob = mobius_transform(values)
     bad = np.flatnonzero(mob < -tol)
     if not bad.size:
@@ -414,7 +414,7 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     family = tuple(_deletion_family(subset, f.space.n).tolist()) if subset.bit_count() >= 2 else ()
     return BeliefCheck(
         False,
-        reason=f"subset {subset} carries weight {mob[subset]!r}",
+        reason=f"subset {subset} carries weight {float(mob[subset])!r}",
         negative_subset=subset,
         negative_mass=float(mob[subset]),
         family=family,

@@ -102,6 +102,26 @@ def random_model(rng: np.random.Generator, space: bb.OutcomeSpace, kind: str):
     return bb.LowerEnvelopeModel(space, rows)
 
 
+def wide_mass(rng, n, focal):
+    """A mass on n outcomes with ``focal`` focal sets, among them a singleton
+    and the whole space, so that both extreme sizes are priced."""
+    space = bb.make_space([f"o{i}" for i in range(n)])
+    full = (1 << n) - 1
+    focal = min(focal, full)
+    drawn = 1 + rng.choice(full, size=focal, replace=False)
+    masks = list(dict.fromkeys([1 << (n - 1), full][:focal] + drawn.tolist()))[:focal]
+    raw = rng.uniform(0.05, 1.0, size=focal)
+    total = math.fsum(raw.tolist())
+    return bb.MassFunction(space, {m: float(w) / total for m, w in zip(masks, raw)})
+
+
+def tied_payoffs(rng, rows, n):
+    """Rows drawn from a pool of six values, two negative, two positive and
+    both zeros, so that ties, signed zeros and rounded products all occur."""
+    pool = np.concatenate([-np.abs(rng.normal(size=2)), np.abs(rng.normal(size=2)), [0.0, -0.0]])
+    return rng.choice(pool, size=(rows, n))
+
+
 @pytest.fixture
 def paper_space() -> bb.OutcomeSpace:
     return bb.make_space(["1", "2", "3", "4"])

@@ -4,12 +4,16 @@ accumulation and never calls the fast lattice transforms. The two numpy
 references are plain loops that a blocked kernel must equal bit for bit:
 butterfly_per_bit, one stage per bit, for the lattice butterfly, and
 choquet_batch_per_set, one focal set at a time, for the batch Choquet
-pricer."""
+pricer. Two route references replay, through the public pricing calls, the
+audit's sampling one row or one ledger at a time, as whole-sample passes
+must equal it bit for bit: duality_rhs_by_sell and sure_loss_per_ledger."""
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+import beliefbet as bb
 
 
 def bits(mask):
@@ -59,6 +63,35 @@ def choquet_batch_per_set(masks, weights, payoffs):
     for mask, w in zip(masks, weights):
         out += w * payoffs[:, bits(int(mask))].min(axis=1)
     return out
+
+
+def duality_rhs_by_sell(pm, xs):
+    """The scalar side of the duality probe, one gamble per row: -sell(-x)."""
+    return np.array([-bb.sell(pm, bb.Gamble(pm.space, -x)) for x in xs])
+
+
+def sure_loss_per_ledger(pm, rng, num_ledgers, payoff_range):
+    """Worst exposure over ledgers drawn from ``rng`` and priced one at a
+    time, each side by its own buy_batch call, buys before sells."""
+    lo, hi = payoff_range
+    n = pm.space.n
+    worst = math.inf
+    for _ in range(num_ledgers):
+        num_buys, num_sells = 0, 0
+        while num_buys + num_sells == 0:
+            num_buys = int(rng.integers(0, 6))
+            num_sells = int(rng.integers(0, 6))
+        profile = np.zeros(n)
+        if num_buys:
+            payoffs = rng.uniform(lo, hi, size=(num_buys, n))
+            prices = bb.buy_batch(pm, payoffs)
+            profile += (payoffs - prices[:, None]).sum(axis=0)
+        if num_sells:
+            payoffs = rng.uniform(lo, hi, size=(num_sells, n))
+            prices = -bb.buy_batch(pm, -payoffs)
+            profile += (prices[:, None] - payoffs).sum(axis=0)
+        worst = min(worst, float(profile.max()))
+    return worst
 
 
 def min_over(mask, payoff):

@@ -11,13 +11,16 @@ from hypothesis import given, settings
 
 import beliefbet as bb
 import beliefbet.audit
-from conftest import mass_functions, random_mass, random_model, space_of
+from beliefbet.previsions import _buy_blocks, _buy_each
+from conftest import mass_functions, random_mass, random_model, space_of, tied_payoffs, wide_mass
 from oracles import (
     additivity_offenders_naive,
+    duality_rhs_by_sell,
     envelope_induced_naive,
     is_two_monotone,
     mobius_naive,
     subset_minima_naive,
+    sure_loss_per_ledger,
 )
 
 
@@ -65,6 +68,21 @@ class BumpModel:
         return bb.mass_to_belief(self.mass).values
 
 
+class SkewedBatchModel:
+    """Duck-typed linear model whose batch price sits 1e-6 above its scalar
+    price, so the two routes the duality probe compares disagree."""
+
+    def __init__(self, space, prob):
+        self.space = space
+        self.prob = prob
+
+    def buy_payoff(self, payoff):
+        return float(np.dot(self.prob, payoff))
+
+    def buy_payoff_batch(self, payoffs):
+        return payoffs @ self.prob + 1e-6
+
+
 class TestCoherenceProbe:
     def test_three_families_pass(self):
         rng = np.random.default_rng(31)
@@ -95,6 +113,14 @@ class TestCoherenceProbe:
         )
         assert slack == -1.0
 
+    def test_duality_probe_catches_batch_off_scalar(self):
+        pm = SkewedBatchModel(space_of(4), np.full(4, 0.25))
+        report = bb.coherence_probe(pm, bb.SamplePlan(num_samples=64, seed=2))
+        duality = report.probes["duality"]
+        assert duality.passed == 0 and duality.checked == 64
+        assert duality.worst_slack == pytest.approx(-1e-6, rel=1e-6)
+        assert not report.all_passed
+
     def test_probe_counts(self):
         pm = bb.LinearModel(space_of(2), np.array([0.5, 0.5]))
         plan = bb.SamplePlan(num_samples=10)
@@ -108,6 +134,70 @@ class TestCoherenceProbe:
         first = bb.coherence_probe(two_row_model, plan)
         second = bb.coherence_probe(two_row_model, plan)
         assert first.probes == second.probes
+
+
+ROUTE_KINDS = ["linear", "lower_envelope", "bump", "choquet-64", "choquet-600", "choquet-3000"]
+
+
+def route_model(kind, n):
+    """A model of the given kind on n outcomes; choquet-k has k focal sets
+    (at most 2^n - 1)."""
+    rng = np.random.default_rng([n, ROUTE_KINDS.index(kind)])
+    if kind.startswith("choquet"):
+        return bb.ChoquetModel(wide_mass(rng, n, int(kind.split("-")[1])))
+    sp = bb.make_space([f"o{i}" for i in range(n)])
+    if kind == "bump":
+        return BumpModel(random_mass(rng, sp), bump=0.1)
+    return random_model(rng, sp, kind)
+
+
+def bits_equal(got, want):
+    return np.array_equal(np.asarray(got, float).view(np.int64), np.asarray(want, float).view(np.int64))
+
+
+class TestWholeSamplePasses:
+    """The duality probe's scalar side and the sampled ledgers against the
+    one-row and one-ledger routes of tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 14, 20])
+    @pytest.mark.parametrize("kind", ROUTE_KINDS)
+    def test_duality_rows_equal_sell_route(self, kind, n):
+        pm = route_model(kind, n)
+        plan = bb.SamplePlan(seed=n)
+        stream = beliefbet.audit._rng(plan, beliefbet.audit._PROBE_STREAM)
+        xs = stream.uniform(*plan.payoff_range, size=(plan.num_samples, n))
+        for rows in (xs, tied_payoffs(np.random.default_rng(n), 64, n)):
+            assert bits_equal(_buy_each(pm, rows), duality_rhs_by_sell(pm, rows))
+        slacks = -np.abs(bb.buy_batch(pm, xs) - duality_rhs_by_sell(pm, xs))
+        probe = bb.coherence_probe(pm, plan).probes["duality"]
+        assert bits_equal(probe.worst_slack, slacks.min())
+        assert probe.passed == np.count_nonzero(slacks >= -bb.DEFAULT_TOL)
+
+    @pytest.mark.parametrize("n", [1, 2, 14, 20])
+    @pytest.mark.parametrize("kind", ROUTE_KINDS)
+    def test_sure_loss_equals_per_ledger_loop(self, kind, n):
+        # 200 ledgers give about 500 rows a side, so one Choquet call crosses
+        # many pricer blocks (65 focal sets each at 500 rows)
+        pm = route_model(kind, n)
+        for seed, num_ledgers in ((0, 32), (7, 200), (3, 1)):
+            plan = bb.SamplePlan(seed=seed, num_ledgers=num_ledgers)
+            stream = beliefbet.audit._rng(plan, beliefbet.audit._LEDGER_STREAM)
+            want = sure_loss_per_ledger(pm, stream, num_ledgers, plan.payoff_range)
+            assert bits_equal(beliefbet.audit._sampled_sure_loss(pm, plan), want)
+        rng = np.random.default_rng(n)
+        blocks = [tied_payoffs(rng, k, n) for k in (0, 3, 1, 0, 5, 2, 0)]
+        for block, prices in zip(blocks, _buy_blocks(pm, blocks)):
+            assert bits_equal(prices, bb.buy_batch(pm, block) if len(block) else [])
+
+    def test_audit_report_matches_routes(self):
+        pm = route_model("choquet-600", 14)
+        plan = bb.SamplePlan(seed=11)
+        report = bb.belief_consistency_audit(pm, plan)
+        stream = beliefbet.audit._rng(plan, beliefbet.audit._LEDGER_STREAM)
+        want = sure_loss_per_ledger(pm, stream, plan.num_ledgers, plan.payoff_range)
+        assert bits_equal(report.sure_loss_worst, want)
+        probe = bb.coherence_probe(pm, plan)
+        assert report.coherence.probes == probe.probes
 
 
 class TestSureLossExposure:

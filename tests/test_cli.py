@@ -653,7 +653,7 @@ MALFORMED = [
     ("escape-values-huge", BELIEF_READERS, belief({**FULL_BELIEF, "a": HUGE}),
      "schema error: values['a'] must be a number in float range"),
     ("values-endpoint", BELIEF_READERS, belief({**FULL_BELIEF, "a,b,c": 0.9}),
-     "endpoint axiom violation: endpoints must be 0 and 1, got np.float64(0.0) and np.float64(0.9)"),
+     "endpoint axiom violation: endpoints must be 0 and 1, got 0.0 and 0.9"),
     # gambles
     ("no-gambles", ("price-gambles",), {"space": S3},
      "schema error: field 'gambles' must be a nonempty list"),

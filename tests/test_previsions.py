@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import beliefbet as bb
+from beliefbet.previsions import _buy_each
 from conftest import (
     gambles,
     mass_functions,
@@ -18,6 +19,8 @@ from conftest import (
     random_mass,
     space_of,
     spaces,
+    tied_payoffs,
+    wide_mass,
 )
 from oracles import (
     choquet_batch_per_set,
@@ -116,26 +119,6 @@ class TestBuy:
                 assert bb.buy(pm, bb.Gamble(sp, row)) == pytest.approx(want, abs=1e-12)
 
 
-def _wide_mass(rng, n, focal):
-    """A mass on n outcomes with ``focal`` focal sets, among them a singleton
-    and the whole space, so that both extreme sizes are priced."""
-    space = bb.make_space([f"o{i}" for i in range(n)])
-    full = (1 << n) - 1
-    focal = min(focal, full)
-    drawn = 1 + rng.choice(full, size=focal, replace=False)
-    masks = list(dict.fromkeys([1 << (n - 1), full][:focal] + drawn.tolist()))[:focal]
-    raw = rng.uniform(0.05, 1.0, size=focal)
-    total = math.fsum(raw.tolist())
-    return bb.MassFunction(space, {m: float(w) / total for m, w in zip(masks, raw)})
-
-
-def _tied_payoffs(rng, rows, n):
-    """Rows drawn from a pool of six values, two negative, two positive and
-    both zeros, so that ties, signed zeros and rounded products all occur."""
-    pool = np.concatenate([-np.abs(rng.normal(size=2)), np.abs(rng.normal(size=2)), [0.0, -0.0]])
-    return rng.choice(pool, size=(rows, n))
-
-
 class TestChoquetPricer:
     """The blocked pricer against the one-focal-set-at-a-time loop, bit for bit."""
 
@@ -143,10 +126,10 @@ class TestChoquetPricer:
     @pytest.mark.parametrize("focal", [1, 64, 600, 3000])
     def test_batch_equals_per_set_loop(self, n, focal):
         rng = np.random.default_rng([n, focal])
-        mass = _wide_mass(rng, n, focal)
+        mass = wide_mass(rng, n, focal)
         pm = bb.ChoquetModel(mass)
         for rows in (0, 1, 3, 256, 4097):
-            payoffs = _tied_payoffs(rng, rows, n)
+            payoffs = tied_payoffs(rng, rows, n)
             got = bb.buy_batch(pm, payoffs)
             want = choquet_batch_per_set(mass.mask_array, mass.weight_array, payoffs)
             assert got.shape == (rows,)
@@ -156,9 +139,9 @@ class TestChoquetPricer:
     @pytest.mark.parametrize("focal", [1, 64, 600, 3000])
     def test_single_price_is_dot_of_minima(self, n, focal):
         rng = np.random.default_rng([n, focal, 1])
-        mass = _wide_mass(rng, n, focal)
+        mass = wide_mass(rng, n, focal)
         pm = bb.ChoquetModel(mass)
-        for payoff in _tied_payoffs(rng, 4, n):
+        for payoff in tied_payoffs(rng, 4, n):
             minima = [min_over(int(m), payoff) for m in mass.mask_array]
             want = np.float64(np.dot(mass.weight_array, minima))
             got = np.float64(bb.buy(pm, bb.Gamble(mass.space, payoff)))
@@ -166,7 +149,7 @@ class TestChoquetPricer:
 
     def test_member_table_is_at_most_one_byte_per_set_and_outcome(self):
         for n, focal in ((1, 1), (14, 600), (24, 3000)):
-            mass = _wide_mass(np.random.default_rng(n), n, focal)
+            mass = wide_mass(np.random.default_rng(n), n, focal)
             members = bb.ChoquetModel(mass)._members
             assert members.dtype == np.uint8
             assert members.nbytes <= len(mass.weights) * n
@@ -185,7 +168,7 @@ class TestChoquetPricer:
         # one block of gathered minima and running sums, never a full
         # rows x focal-sets table (600 x 256 doubles are 1.2 MB)
         rng = np.random.default_rng(8)
-        pm = bb.ChoquetModel(_wide_mass(rng, 14, 600))
+        pm = bb.ChoquetModel(wide_mass(rng, 14, 600))
         payoffs = rng.normal(size=(256, 14))
         assert self._transient(lambda: pm.buy_payoff_batch(payoffs)) < 1 << 20
 
@@ -200,6 +183,17 @@ class TestChoquetPricer:
         pm = bb.ChoquetModel(mass)
         payoff = rng.normal(size=n)
         assert self._transient(lambda: pm.buy_payoff(payoff)) < 2 << 20
+
+    def test_row_block_sweep_transient_is_bounded(self):
+        # the minima of one block of rows at a time, never a full rows x
+        # focal-sets table (256 x 2^16 doubles are 128 MiB)
+        n = 20
+        rng = np.random.default_rng(10)
+        masks = 1 + rng.choice((1 << n) - 1, size=1 << 16, replace=False)
+        space = bb.make_space([f"o{i}" for i in range(n)])
+        pm = bb.ChoquetModel(bb.MassFunction(space, dict.fromkeys(masks.tolist(), 2.0 ** -16)))
+        payoffs = rng.normal(size=(256, n))
+        assert self._transient(lambda: _buy_each(pm, payoffs)) < 2 << 20
 
 
 class TestSell:

@@ -263,6 +263,18 @@ class TestIsBeliefFunction:
         check = bb.is_belief_function(bad_full)
         assert not check and "full" in check.reason
 
+    def test_reasons_print_plain_floats(self):
+        sp = space_of(2)
+        reasons = [
+            bb.is_belief_function(bb.SetFunction(sp, np.array(values))).reason
+            for values in ([0.5, 0.5, 0.5, 1.0], [0.0, 0.5, 0.5, 0.7], [0.0, 0.75, 0.5, 1.0])
+        ]
+        assert reasons == [
+            "empty set must map to 0, got 0.5",
+            "full set must map to 1, got 0.7",
+            "subset 3 carries weight -0.25",
+        ]
+
     def test_witness_family_slack_equals_mass(self):
         # negative-mass witness soundness on 5-outcome tables
         rng = np.random.default_rng(23)
