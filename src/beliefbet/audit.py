@@ -6,11 +6,12 @@ superadditivity), can a ledger priced at the model's own quotes lose at
 every outcome, are the indicator prices additive (a probability), and do
 all prices come from a belief function via the Choquet integral.
 
-The last verdict is decided through a finite characterization: invert the
-indicator prices on the subset lattice and demand a nonnegative result,
-then demand Choquet agreement on all indicators plus a seeded sample of
-general gambles. The Choquet price of an indicator 1_A is Bel_m(A), so one
-zeta transform of the recovered mass prices every indicator at once.
+The last verdict inverts the indicator prices on the subset lattice and
+demands a nonnegative result. Choquet models (their own mass) and linear
+models (a probability) then agree with the Choquet integral by
+construction, and the duality probe checks their batch pricer; lower
+envelopes and other model objects must agree with the recovered Choquet
+prices on a seeded sample of gambles.
 Failures ship a :class:`ViolationCertificate`, two lists of gambles whose
 summed worst-case revenue is ordered one way for every two-valued
 valuation while the summed buy prices are ordered strictly the other way;
@@ -48,6 +49,7 @@ from .previsions import (
     _buy_blocks,
     _buy_each,
     _check_same_space,
+    _choquet_by_construction,
 )
 from .setfn import (
     DEFAULT_TOL,
@@ -98,7 +100,9 @@ def _rng(plan: SamplePlan, stream: int) -> np.random.Generator:
 
 def sample_gambles(space: OutcomeSpace, plan: SamplePlan) -> np.ndarray:
     """The exact (num_samples, n) payoff matrix an audit checks Choquet
-    agreement on. Exposed so third parties can replay the sample."""
+    agreement on, for the models not consistent by construction (lower
+    envelopes and other model objects; not Choquet or linear models).
+    Exposed so third parties can replay the sample."""
     lo, hi = plan.payoff_range
     return _rng(plan, _SAMPLE_STREAM).uniform(lo, hi, size=(plan.num_samples, space.n))
 
@@ -412,12 +416,20 @@ def certificate_from_choquet_gap(
     nonnegative.
     """
     _check_same_space(pm.space, gamble.space)
-    space = pm.space
     inverted = belief_to_mass(induced_set_function(pm), tol=tol)
     if isinstance(inverted, NegativeMassReport):
         raise BeliefBetError(
             "inverted indicator prices are negative; use certificate_from_negative_mass"
         )
+    return _choquet_gap_certificate(pm, gamble, inverted, tol)
+
+
+def _choquet_gap_certificate(
+    pm: PriceModel, gamble: Gamble, inverted: MassFunction, tol: float
+) -> ViolationCertificate:
+    """:func:`certificate_from_choquet_gap` for callers that already hold
+    ``inverted``, the recovered mass of the model's indicator prices."""
+    space = pm.space
     shift = float(gamble.payoff.min())
     shifted = Gamble(space, gamble.payoff - shift)
     layers = [
@@ -557,13 +569,12 @@ def belief_consistency_audit(
 
     Verdict steps: invert the indicator prices with one Moebius transform;
     any weight below -tol yields a negative-mass certificate at the smallest
-    offending subset (ties broken toward later outcomes). Otherwise the
-    model's prices are compared with the Choquet prices of the recovered
-    weights on the plan's sampled gambles and on all indicators, where the
-    Choquet price of 1_A is Bel_m(A), read off one zeta transform of the
-    recovered mass. The largest disagreement beyond tol yields a
-    pricing-gap certificate. Certificates are verified before they are
-    returned.
+    offending subset (ties broken toward later outcomes). Otherwise Choquet
+    and linear models are belief-consistent by construction and nothing is
+    sampled. Any other model's prices are compared with the Choquet prices
+    of the recovered weights on the plan's sampled gambles; the largest
+    disagreement beyond tol yields a pricing-gap certificate. Certificates
+    are verified before they are returned.
     """
     space = pm.space
     probe_report = coherence_probe(pm, plan, tol=tol)
@@ -574,6 +585,7 @@ def belief_consistency_audit(
     sure_worst = _sampled_sure_loss(pm, plan)
 
     certificate: ViolationCertificate | None = None
+    consistent = True
     if isinstance(inverted, NegativeMassReport):
         candidates = np.flatnonzero(mob < -tol)
         candidates = candidates[np.bitwise_count(candidates) >= 2]
@@ -584,26 +596,13 @@ def belief_consistency_audit(
         subset = _fewest_outcomes(candidates)
         certificate = certificate_from_negative_mass(induced, subset, tol=tol)
         consistent = False
-    else:
-        choquet = ChoquetModel(inverted)
+    elif not _choquet_by_construction(pm):
         samples = sample_gambles(space, plan)
-        sample_gaps = np.abs(buy_batch(pm, samples) - choquet.buy_payoff_batch(samples))
-        sample_idx = int(np.argmax(sample_gaps))
-        # Choquet(m, 1_A) = Bel_m(A), so this gap is at most the mass of the
-        # clamped sub-tolerance negatives, which the weight-sum check of the
-        # inversion holds to tol.
-        indicator_gaps = np.abs(induced.values - choquet.induced_values())
-        indicator_mask = int(np.argmax(indicator_gaps))
-        indicator_gap = float(indicator_gaps[indicator_mask])
-        if max(float(sample_gaps[sample_idx]), indicator_gap) > tol:
-            if sample_gaps[sample_idx] >= indicator_gap:
-                bad = Gamble(space, samples[sample_idx])
-            else:
-                bad = indicator(space, indicator_mask)
-            certificate = certificate_from_choquet_gap(pm, bad, tol=tol)
+        gaps = np.abs(buy_batch(pm, samples) - ChoquetModel(inverted).buy_payoff_batch(samples))
+        worst = int(np.argmax(gaps))
+        if gaps[worst] > tol:
+            certificate = _choquet_gap_certificate(pm, Gamble(space, samples[worst]), inverted, tol)
             consistent = False
-        else:
-            consistent = True
 
     verified: bool | None = None
     if certificate is not None:

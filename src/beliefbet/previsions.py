@@ -274,6 +274,12 @@ def _row_exact(pm: PriceModel) -> bool:
     return isinstance(pm, ChoquetModel)
 
 
+def _choquet_by_construction(pm: PriceModel) -> bool:
+    """Whether every price is a Choquet value by definition: under a Choquet
+    model's own mass, or a linear model's probability. Others are sampled."""
+    return isinstance(pm, (ChoquetModel, LinearModel))
+
+
 def _buy_each(pm: PriceModel, payoffs: np.ndarray) -> np.ndarray:
     """float(pm.buy_payoff(row)) for every row, bit for bit."""
     if not _row_exact(pm):

@@ -384,13 +384,14 @@ def _classify_mobius(
     bad = np.flatnonzero(mob < -tol)
     if bad.size:
         return NegativeMassReport(f.space, bad, mob[bad], tol)
-    weights = {int(mask): float(mob[mask]) for mask in np.flatnonzero(mob > 0.0) if mask != 0}
-    total = math.fsum(weights.values())
+    masks = np.flatnonzero(mob[1:] > 0.0) + 1
+    vals = mob[masks]
+    total = math.fsum(vals.tolist())
     if abs(total - 1.0) > tol:
         raise BeliefBetError(f"recovered weights sum to {total!r}, too far from 1")
     if total != 1.0:
-        weights = {mask: w / total for mask, w in weights.items()}
-    return MassFunction(f.space, weights)
+        vals = vals / total
+    return MassFunction(f.space, dict(zip(masks.tolist(), vals.tolist())))
 
 
 def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefCheck:

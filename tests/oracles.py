@@ -4,9 +4,11 @@ accumulation and never calls the fast lattice transforms. The two numpy
 references are plain loops that a blocked kernel must equal bit for bit:
 butterfly_per_bit, one stage per bit, for the lattice butterfly, and
 choquet_batch_per_set, one focal set at a time, for the batch Choquet
-pricer. Two route references replay, through the public pricing calls, the
-audit's sampling one row or one ledger at a time, as whole-sample passes
-must equal it bit for bit: duality_rhs_by_sell and sure_loss_per_ledger."""
+pricer. recovered_weights_by_dict builds the recovered mass one Moebius
+entry at a time, as the array-built one must equal bit for bit. Two route
+references replay, through the public pricing calls, the audit's sampling
+one row or one ledger at a time, as whole-sample passes must equal it bit
+for bit: duality_rhs_by_sell and sure_loss_per_ledger."""
 
 import math
 from itertools import combinations
@@ -63,6 +65,17 @@ def choquet_batch_per_set(masks, weights, payoffs):
     for mask, w in zip(masks, weights):
         out += w * payoffs[:, bits(int(mask))].min(axis=1)
     return out
+
+
+def recovered_weights_by_dict(mob):
+    """The recovered mass of a nonnegative Moebius array, one numpy scalar at
+    a time: every positive weight off the empty set, divided by their fsum
+    total when it is not exactly 1. Returns the weights dict."""
+    weights = {int(mask): float(mob[mask]) for mask in np.flatnonzero(mob > 0.0) if mask != 0}
+    total = math.fsum(weights.values())
+    if total != 1.0:
+        weights = {mask: w / total for mask, w in weights.items()}
+    return weights
 
 
 def duality_rhs_by_sell(pm, xs):

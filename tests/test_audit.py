@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 import beliefbet as bb
 import beliefbet.audit
-from beliefbet.previsions import _buy_blocks, _buy_each
+from beliefbet.previsions import _buy_blocks, _buy_each, _choquet_by_construction
 from conftest import mass_functions, random_mass, random_model, space_of, tied_payoffs, wide_mass
 from oracles import (
     additivity_offenders_naive,
@@ -44,6 +44,11 @@ class MaxOracle:
 
     def buy_payoff_batch(self, payoffs):
         return payoffs.max(axis=1)
+
+    def induced_values(self):
+        values = np.ones(self.space.size)
+        values[0] = 0.0
+        return values
 
 
 class BumpModel:
@@ -83,6 +88,15 @@ class SkewedBatchModel:
         return payoffs @ self.prob + 1e-6
 
 
+class ReversedBatchChoquet(bb.ChoquetModel):
+    """A Choquet model whose batch pricer reads the outcomes in reverse order:
+    a valid Choquet pricer, but of the mirrored mass, so only the duality
+    probe, which sets it against the rank-order sweep, can tell."""
+
+    def buy_payoff_batch(self, payoffs):
+        return super().buy_payoff_batch(np.ascontiguousarray(payoffs[:, ::-1]))
+
+
 class TestCoherenceProbe:
     def test_three_families_pass(self):
         rng = np.random.default_rng(31)
@@ -120,6 +134,18 @@ class TestCoherenceProbe:
         assert duality.passed == 0 and duality.checked == 64
         assert duality.worst_slack == pytest.approx(-1e-6, rel=1e-6)
         assert not report.all_passed
+
+    def test_duality_probe_catches_broken_choquet_batch(self):
+        # the audit takes a Choquet model as consistent by construction; the
+        # duality probe is the check of its batch pricer
+        sp = space_of(3)
+        pm = ReversedBatchChoquet(bb.MassFunction(sp, {0b001: 0.6, 0b011: 0.4}))
+        report = bb.belief_consistency_audit(pm, bb.SamplePlan(num_samples=64, seed=2))
+        probes = report.coherence.probes
+        assert probes["duality"].passed < probes["duality"].checked
+        assert probes["duality"].worst_slack < -0.1
+        assert all(p.passed == p.checked for name, p in probes.items() if name != "duality")
+        assert not report.coherence.all_passed
 
     def test_probe_counts(self):
         pm = bb.LinearModel(space_of(2), np.array([0.5, 0.5]))
@@ -552,6 +578,23 @@ class TestChoquetGapCertificate:
         assert cert.buy_gap == pytest.approx(0.25, abs=1e-12)
         assert bb.verify_certificate(pm, cert)
 
+    @pytest.mark.parametrize("kind", ["linear", "choquet", "lower_envelope", "bump"])
+    def test_indicator_is_its_own_layer(self, kind):
+        # an indicator's only layer is itself, so its model and layer prices
+        # are one float and no indicator can carry a gap certificate; dyadic
+        # parameters keep every inverted weight exact at tol 0
+        sp = space_of(3)
+        mass = bb.MassFunction(sp, {0b001: 0.25, 0b011: 0.5, 0b110: 0.25})
+        pm = {
+            "linear": lambda: bb.LinearModel(sp, np.array([0.25, 0.5, 0.25])),
+            "choquet": lambda: bb.ChoquetModel(mass),
+            "lower_envelope": lambda: bb.LowerEnvelopeModel(sp, np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])),
+            "bump": lambda: BumpModel(mass, bump=0.1),
+        }[kind]()
+        for mask in range(sp.size):
+            with pytest.raises(bb.NoGapError, match=r"\(-?0\.0\)$"):
+                bb.certificate_from_choquet_gap(pm, bb.indicator(sp, mask), tol=0.0)
+
     def test_negative_payoffs_are_shifted(self):
         sp = space_of(3)
         pm = bb.LowerEnvelopeModel(
@@ -901,6 +944,62 @@ class TestBeliefConsistencyAudit:
             bb.sample_gambles(two_row_model.space, plan),
             bb.sample_gambles(two_row_model.space, plan),
         )
+
+
+def sample_gamble_calls(monkeypatch):
+    """Count the audit's calls of sample_gambles."""
+    calls = []
+    real = beliefbet.audit.sample_gambles
+
+    def counted(space, plan):
+        calls.append(plan)
+        return real(space, plan)
+
+    monkeypatch.setattr(beliefbet.audit, "sample_gambles", counted)
+    return calls
+
+
+class TestAgreementByFamily:
+    """Choquet and linear models are belief-consistent by construction; the
+    other models are compared with their recovered Choquet prices on samples."""
+
+    def test_zero_tolerance_choquet_model(self):
+        # a sampled gamble's price differs from the Choquet price of the
+        # recovered mass by a roundoff 2.2e-16, which tol 0 does not absorb
+        sp = space_of(3)
+        mass = bb.MassFunction(sp, {0b001: 0.1, 0b011: 0.2, 0b110: 0.3, 0b111: 0.4})
+        report = bb.belief_consistency_audit(bb.ChoquetModel(mass), tol=0.0)
+        assert report.is_belief_consistent
+        assert report.certificate is None and report.certificate_verified is None
+        assert isinstance(report.induced_mass, bb.MassFunction)
+
+    @pytest.mark.parametrize("kind", ["linear", "choquet"])
+    def test_constructed_families_are_not_sampled(self, kind, monkeypatch):
+        calls = sample_gamble_calls(monkeypatch)
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 5, 9):
+            pm = random_model(rng, space_of(n), kind)
+            assert _choquet_by_construction(pm)
+            report = bb.belief_consistency_audit(pm, bb.SamplePlan(num_samples=32))
+            assert report.is_belief_consistent
+        assert calls == []
+
+    def test_other_models_are_sampled(self, monkeypatch):
+        calls = sample_gamble_calls(monkeypatch)
+        plan = bb.SamplePlan(num_samples=64)
+        sp = space_of(3)
+        envelope = bb.LowerEnvelopeModel(sp, np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+        bump = BumpModel(random_mass(np.random.default_rng(12), sp), bump=0.1)
+        for pm in (envelope, bump):
+            assert not _choquet_by_construction(pm)
+            report = bb.belief_consistency_audit(pm, plan)
+            assert report.certificate.kind == "choquet_gap"
+            assert report.certificate_verified
+        # on one outcome the best payoff is the only payoff, which is consistent
+        oracle = MaxOracle(space_of(1))
+        assert not _choquet_by_construction(oracle)
+        assert bb.belief_consistency_audit(oracle, plan).is_belief_consistent
+        assert calls == [plan] * 3
 
 
 class TestCertificateWeight:

@@ -19,6 +19,14 @@ REFERENCE_MODEL = {
     "rows": [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]],
 }
 
+#: A Choquet model whose price on a sampled gamble differs from the Choquet
+#: price of its recovered mass by a roundoff 2.2e-16, more than --tol 0.
+ZERO_TOL_CHOQUET = {
+    "space": ["a", "b", "c"],
+    "kind": "choquet",
+    "mass": {"a": 0.1, "a,b": 0.2, "b,c": 0.3, "a,b,c": 0.4},
+}
+
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -331,6 +339,13 @@ class TestBadFlags:
         )
         assert main(["audit", model, "--tol", "0"]) == 1
         assert "certificate verified: True" in capsys.readouterr().out
+
+    def test_zero_tolerance_choquet_model_is_consistent(self, tmp_path, capsys):
+        # a Choquet model is belief-consistent by construction, so no sampled
+        # gamble's roundoff gap can be taken for a violation
+        model = write(tmp_path, "model.json", ZERO_TOL_CHOQUET)
+        assert main(["audit", model, "--tol", "0"]) == 0
+        assert "VERDICT: belief-consistent" in capsys.readouterr().out
 
     def test_negative_seed_exits_two(self, commands, capsys):
         assert main(commands["audit"] + ["--seed", "-1"]) == 2

@@ -147,6 +147,19 @@ class TestChoquetPricer:
             got = np.float64(bb.buy(pm, bb.Gamble(mass.space, payoff)))
             assert got.view(np.int64) == want.view(np.int64)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 14, 20])
+    def test_linear_batch_is_gather_of_singleton_mass(self, n):
+        # the audit takes a linear model as the Choquet integral of its
+        # probability, as a singleton mass, without comparing the two
+        rng = np.random.default_rng([n, 2])
+        sp = bb.make_space([f"o{i}" for i in range(n)])
+        raw = rng.uniform(0.05, 1.0, size=n)
+        pm = bb.LinearModel(sp, raw / math.fsum(raw.tolist()))
+        singletons = bb.ChoquetModel(bb.MassFunction(sp, {1 << i: float(p) for i, p in enumerate(pm.prob)}))
+        for payoffs in (rng.uniform(-1.0, 1.0, size=(256, n)), tied_payoffs(rng, 64, n)):
+            gaps = np.abs(bb.buy_batch(pm, payoffs) - singletons.buy_payoff_batch(payoffs))
+            assert gaps.max() <= bb.DEFAULT_TOL
+
     def test_member_table_is_at_most_one_byte_per_set_and_outcome(self):
         for n, focal in ((1, 1), (14, 600), (24, 3000)):
             mass = wide_mass(np.random.default_rng(n), n, focal)

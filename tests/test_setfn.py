@@ -11,12 +11,13 @@ from hypothesis import given
 import beliefbet as bb
 import beliefbet.previsions
 import beliefbet.setfn
-from conftest import mass_functions, random_mass, space_of
+from conftest import mass_functions, random_mass, space_of, wide_mass
 from oracles import (
     bits,
     butterfly_per_bit,
     inclusion_exclusion_slack_naive,
     mobius_naive,
+    recovered_weights_by_dict,
     zeta_naive,
 )
 
@@ -236,6 +237,49 @@ class TestBeliefToMass:
         report = bb.belief_to_mass(bb.SetFunction(sp, values))
         assert isinstance(report, bb.NegativeMassReport)
         assert report.entries == ((3, pytest.approx(-0.2, abs=1e-15)),)
+
+
+def noisy_belief_values(mass, delta):
+    """Bel of ``mass`` with a Moebius weight of -delta at its lowest proper
+    subset that is not focal and +delta more at the whole space, so the endpoints
+    keep their values and a clamped sub-tolerance negative appears."""
+    dense = mass.as_dense()
+    dense[np.flatnonzero(dense[1:-1] == 0.0)[0] + 1] = -delta
+    dense[-1] += delta
+    return bb.zeta_transform(dense)
+
+
+class TestRecoveredMassArrays:
+    """The array-built recovered mass against the dict route of
+    tests/oracles.py, hex for hex, with and without renormalization."""
+
+    def recover(self, values, tol=bb.DEFAULT_TOL):
+        space = bb.make_space([f"o{i}" for i in range(len(values).bit_length() - 1)])
+        f = bb.SetFunction(space, values)
+        mob = bb.mobius_transform(f.values)
+        got = beliefbet.setfn._classify_mobius(f, mob, tol)
+        want = recovered_weights_by_dict(mob)
+        assert list(got.weights) == list(want)
+        assert [w.hex() for w in got.weights.values()] == [w.hex() for w in want.values()]
+        positive = mob[1:][mob[1:] > 0.0]
+        return math.fsum(positive.tolist()) != 1.0
+
+    def test_seeded_tables_equal_dict_route(self):
+        rng = np.random.default_rng(64)
+        renormalized = 0
+        for _ in range(120):
+            mass = random_mass(rng, space_of(int(rng.integers(1, 11))))
+            renormalized += self.recover(bb.mass_to_belief(mass).values)
+            if np.any(mass.as_dense()[1:-1] == 0.0):
+                assert self.recover(noisy_belief_values(mass, 4e-10))
+                renormalized += 1
+        assert renormalized > 120
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_wide_tables_equal_dict_route(self, n):
+        mass = wide_mass(np.random.default_rng(n), n, 600)
+        self.recover(bb.mass_to_belief(mass).values)
+        assert self.recover(noisy_belief_values(mass, 3e-10))
 
 
 class TestIsBeliefFunction:
