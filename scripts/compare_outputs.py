@@ -16,7 +16,10 @@ choices follow the document index and change no draw of any other
 document. Every model document is
 audited in human and machine format, with default flags and with
 ``--seed 7 --samples 64 --tol 1e-7``; every document goes through
-``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12.
+``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12. The
+``--seed 7`` audits and the ``--tol 1e-12`` transforms write through
+``--out``, each runner to its own file; for them the file's text is the
+output, and their stdout, which must stay empty, is compared as well.
 
 The runs execute once against this checkout's ``src`` and once against the
 base checkout's, each checkout in one subprocess. A run's exit code, its
@@ -48,17 +51,22 @@ ESCAPED_STEMS = ('a"b', "back\\slash", "tab\there", "é", "Ω", " lead")
 ESCAPED_EVERY = 5
 WIDE_EVERY = 23
 
-AUDIT_FLAGS = ([], ["--seed", "7", "--samples", "64", "--tol", "1e-7"])
-TRANSFORM_TOLS = ("1e-9", "1e-12")
+#: Stands for the runner's own output file in a job's argument vector.
+OUT = "<out>"
+AUDIT_FLAGS = ([], ["--seed", "7", "--samples", "64", "--tol", "1e-7", "--out", OUT])
+TRANSFORM_FLAGS = (["--tol", "1e-9"], ["--tol", "1e-12", "--out", OUT])
 FORMATS = ("human", "machine")
 
 # Runs a list of argument vectors through one checkout's cli.main in a single
-# process and writes [exit code, stdout, stderr] per run, the streams as
-# digests in "digest" mode and as text in "text" mode.
+# process and writes [exit code, output, stderr, stdout beside --out] per run,
+# the texts as digests in "digest" mode and as they are in "text" mode. A
+# job's OUT argument becomes the runner's own file, and the job's output is the
+# text written there (None when no file was written); any other job's output
+# is its stdout.
 _RUNNER = r"""
 import contextlib, hashlib, io, json, os, sys
 
-src, jobs_path, out_path, mode = sys.argv[1:5]
+src, jobs_path, out_path, mode, file_path, placeholder = sys.argv[1:7]
 sys.path.insert(0, src)
 import beliefbet.cli
 
@@ -67,6 +75,8 @@ if not os.path.abspath(beliefbet.cli.__file__).startswith(os.path.abspath(src) +
 
 
 def kept(text):
+    if text is None:
+        return None
     body = "".join(line for line in text.splitlines(keepends=True)
                    if not line.lstrip().startswith('"timestamp":'))
     return body if mode == "text" else hashlib.sha256(body.encode()).hexdigest()
@@ -76,6 +86,8 @@ with open(jobs_path) as fh:
     jobs = json.load(fh)
 results = []
 for argv in jobs:
+    to_file = placeholder in argv
+    argv = [file_path if arg == placeholder else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -84,7 +96,13 @@ for argv in jobs:
             code = exc.code
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
-    results.append([code, kept(out.getvalue()), kept(err.getvalue())])
+    written = None
+    if to_file and os.path.exists(file_path):
+        with open(file_path, "rb") as fh:
+            written = fh.read().decode("utf-8")
+        os.remove(file_path)
+    output, beside = (written, out.getvalue()) if to_file else (out.getvalue(), "")
+    results.append([code, kept(output), kept(err.getvalue()), kept(beside)])
 with open(out_path, "w") as fh:
     json.dump(results, fh)
 """
@@ -175,9 +193,9 @@ def jobs_for(path: str, doc: dict) -> list[list[str]]:
         for flags in AUDIT_FLAGS:
             for fmt in FORMATS:
                 jobs.append(["audit", path, "--format", fmt, *flags])
-    for tol in TRANSFORM_TOLS:
+    for flags in TRANSFORM_FLAGS:
         for fmt in FORMATS:
-            jobs.append(["transform", path, "--to", "mass", "--format", fmt, "--tol", tol])
+            jobs.append(["transform", path, "--to", "mass", "--format", fmt, *flags])
     return jobs
 
 
@@ -189,7 +207,7 @@ def _run_both(
     procs = {
         name: subprocess.Popen(
             [sys.executable, "-c", _RUNNER, str(src), str(work / "jobs.json"),
-             str(work / f"{name}.json"), mode],
+             str(work / f"{name}.json"), mode, str(work / f"{name}.out"), OUT],
             cwd=work,
         )
         for name, src in (("head", ROOT / "src"), ("base", base_src))
@@ -202,9 +220,10 @@ def _run_both(
             json.loads((work / "base.json").read_text()))
 
 
-def first_difference(base: str, head: str) -> tuple[str, str]:
-    """The first line where two texts part, "<end>" standing for a missing line."""
-    base_lines, head_lines = base.splitlines(), head.splitlines()
+def first_difference(base: str | None, head: str | None) -> tuple[str, str]:
+    """The first line where two texts part, "<end>" standing for a missing line
+    and "<no file>" for an --out file that was not written."""
+    base_lines, head_lines = (["<no file>"] if t is None else t.splitlines() for t in (base, head))
     for b, h in itertools.zip_longest(base_lines, head_lines, fillvalue="<end>"):
         if b != h:
             return b, h
@@ -236,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         if texts is None:
             return 2
 
-    fields = ("exit code", "output", "stderr")
+    fields = ("exit code", "output", "stderr", "stdout beside --out")
     for argv, h, b in zip(differ, *texts):
         which = [k for k, (x, y) in enumerate(zip(h, b)) if x != y]
         names = ", ".join(fields[k] for k in which)

@@ -61,6 +61,7 @@ from .setfn import (
     _butterfly,
     _classify_mobius,
     _deletion_family,
+    _doubled,
     _fewest_outcomes,
     _member_flags,
     _subfamily_intersections,
@@ -261,9 +262,7 @@ def _probability_verdict(
     heavy[0] = heavy[1 << np.arange(space.n)] = False
     if not heavy.any():
         return ProbabilityCheck(True)
-    counts = np.zeros(space.size, dtype=np.uint8)
-    for i in range(space.n):
-        np.add(counts[: 1 << i], 1, out=counts[1 << i : 2 << i])
+    counts = _doubled(0, [1] * space.n, np.add, np.uint8)
     # Raise the counts of the light subsets past every popcount.
     np.copyto(counts, np.iinfo(np.uint8).max, where=np.logical_not(heavy, out=heavy))
     del heavy
@@ -368,10 +367,8 @@ def certificate_from_negative_mass(
         )
     # the Moebius pass on the sublattice of subset repeats the full pass's
     # operations there in the same order, so its top entry has the same bits
-    singles = (1 << np.flatnonzero(_member_flags(subset, space.n))).tolist()
-    inside = np.zeros(1 << len(singles), dtype=np.int64)  # the sublattice, doubled in
-    for i, single in enumerate(singles):
-        inside[1 << i : 2 << i] = inside[: 1 << i] | single
+    singles = 1 << np.flatnonzero(_member_flags(subset, space.n))
+    inside = _doubled(0, singles, np.bitwise_or, np.int64)  # the sublattice
     values = f.values
     mass_value = float(_butterfly(values[inside], np.subtract)[-1])
     if mass_value >= -tol:
@@ -587,8 +584,7 @@ def belief_consistency_audit(
     certificate: ViolationCertificate | None = None
     consistent = True
     if isinstance(inverted, NegativeMassReport):
-        candidates = np.flatnonzero(mob < -tol)
-        candidates = candidates[np.bitwise_count(candidates) >= 2]
+        candidates = inverted.masks[np.bitwise_count(inverted.masks) >= 2]
         if not candidates.size:
             raise BeliefBetError(
                 "only singleton weights are negative; the model is outside the coherent family"

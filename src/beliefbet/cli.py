@@ -5,7 +5,8 @@ Exit codes: 0 success (for ``audit``: the model passed), 1 the audit found
 the model not belief-consistent and verified its certificate, 2 malformed
 input (unreadable, undecodable, too long or too deep JSON, schema violations,
 numbers out of float range, ragged rows, space mismatches, an unwritable
-``--out``), 3 endpoint axiom violation on a belief table.
+``--out``), 3 endpoint axiom violation on a belief table. ``--out`` is checked
+before any document is read; each command builds only the format asked for.
 
 Documents use one schema per role; subsets are keyed by comma-joined
 labels in canonical space order (empty string for the empty set), and all
@@ -19,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -35,7 +37,6 @@ from .audit import (
     ViolationCertificate,
     belief_consistency_audit,
     exposure_profile,
-    sure_loss_exposure,
 )
 from .errors import EndpointViolationError, BeliefBetError, SchemaError
 from .previsions import (
@@ -254,10 +255,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+def _check_out(path: str) -> None:
+    """Append nothing to a missing or regular ``--out`` file or a directory (which
+    fails), removing a file this created; a FIFO or device is left to :func:`_emit`."""
+    created = not os.path.lexists(path)
+    if created or os.path.isfile(path) or os.path.isdir(path):
+        _emit((), path, "a")
+        if created:
+            os.remove(path)
+
+
+def _emit(pieces: Iterable[str], out_path: str | None, mode: str = "w") -> None:
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(out_path, mode, encoding="utf-8") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
             raise SchemaError(f"cannot write {out_path}: {exc}") from exc
@@ -386,7 +397,7 @@ def _listing_lines(listing: _Listing) -> list[str]:
 # -------------------------------------------------------------- commands
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     doc = _load_document(args.input)
     space = _space_from(doc)
     kind = doc.get("kind")
@@ -398,11 +409,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         mass = _mass_from(doc, space)
         values = _Listing(space, np.arange(space.size), mass_to_belief(mass).values)
         if args.format == "machine":
-            out_doc = {"space": list(space.labels), "kind": "belief", "values": values}
-            _emit(_machine(out_doc), args.out)
-        else:
-            _emit(_human(_listing_lines(values)), args.out)
-        return 0
+            return 0, _machine({"space": list(space.labels), "kind": "belief", "values": values})
+        return 0, _human(_listing_lines(values))
 
     if kind == "belief":
         table = _set_function_from(doc, space)
@@ -416,46 +424,36 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     result = _classify_mobius(table, mob, args.tol)
     if isinstance(result, MassFunction):
         if args.format == "machine":
-            out_doc = {"space": list(space.labels), "kind": "mass", "mass": _mass_listing(result)}
-            _emit(_machine(out_doc), args.out)
-        else:
-            _emit(_human(_listing_lines(_mass_listing(result))), args.out)
-        return 0
+            return 0, _machine({"space": list(space.labels), "kind": "mass", "mass": _mass_listing(result)})
+        return 0, _human(_listing_lines(_mass_listing(result)))
     visible = np.flatnonzero(np.abs(mob) > EXACT_TOL)
     mobius = _Listing(space, visible, mob[visible])
     if args.format == "machine":
-        out_doc = {
+        return 0, _machine({
             "space": list(space.labels),
             "kind": "negative_mass_report",
             "mobius": mobius,
             "negative": _Listing(space, result.masks, result.weights),
-        }
-        _emit(_machine(out_doc), args.out)
-    else:
-        lines = _listing_lines(mobius)
-        for i in np.flatnonzero(mobius.values < -args.tol).tolist():
-            lines[i] += "  NEGATIVE"
-        lines.append(f"{result.masks.size} subset(s) carry negative weight; not a belief function")
-        _emit(_human(lines), args.out)
-    return 0
+        })
+    lines = _listing_lines(mobius)
+    for i in np.flatnonzero(mobius.values < -args.tol).tolist():
+        lines[i] += "  NEGATIVE"
+    lines.append(f"{result.masks.size} subset(s) carry negative weight; not a belief function")
+    return 0, _human(lines)
 
 
-def _cmd_price(args: argparse.Namespace) -> int:
+def _cmd_price(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     pm = _model_from(_load_document(args.model))
     space, gambles = _gambles_from(_load_document(args.gambles))
     if space != pm.space:
         raise SchemaError("model and gamble documents use different spaces")
     rows = [(name, buy(pm, g), sell(pm, g)) for name, g in gambles]
     if args.format == "machine":
-        out_doc = {
+        return 0, _machine({
             "space": list(space.labels),
             "prices": [{"name": n, "buy": b, "sell": s} for n, b, s in rows],
-        }
-        _emit(_machine(out_doc), args.out)
-    else:
-        lines = [f"{n}: buy={_fmt(b)} sell={_fmt(s)}" for n, b, s in rows]
-        _emit(_human(lines), args.out)
-    return 0
+        })
+    return 0, _human([f"{n}: buy={_fmt(b)} sell={_fmt(s)}" for n, b, s in rows])
 
 
 def _probe_doc(report: AuditReport) -> dict:
@@ -538,41 +536,37 @@ def _report_lines(report: AuditReport) -> list[str]:
     return lines
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     pm = _model_from(_load_document(args.model))
     plan = SamplePlan(num_samples=args.samples, seed=args.seed)
     report = belief_consistency_audit(pm, plan, tol=args.tol)
+    code = 0 if report.is_belief_consistent else 1
     if args.format == "machine":
-        _emit(_machine(_report_doc(args, report)), args.out)
-    else:
-        _emit(_human(_report_lines(report)), args.out)
-    return 0 if report.is_belief_consistent else 1
+        return code, _machine(_report_doc(args, report))
+    return code, _human(_report_lines(report))
 
 
-def _cmd_dutchbook(args: argparse.Namespace) -> int:
+def _cmd_dutchbook(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     pm = _model_from(_load_document(args.model))
     space, ledger = _ledger_from(_load_document(args.ledger))
     if space != pm.space:
         raise SchemaError("model and ledger documents use different spaces")
     profile = exposure_profile(ledger)
-    exposure = sure_loss_exposure(pm, ledger)
+    exposure = float(profile.max())
     best = int(np.argmax(profile))
     dutch = exposure < -args.tol
     if args.format == "machine":
-        out_doc = {
+        return 0, _machine({
             "space": list(space.labels),
             "exposure": exposure,
             "best_outcome": space.labels[best],
             "profile": {space.labels[i]: float(profile[i]) for i in range(space.n)},
             "dutch_book": bool(dutch),
-        }
-        _emit(_machine(out_doc), args.out)
-    else:
-        lines = [f"exposure: {_fmt(exposure)} (best outcome: {space.labels[best]})"]
-        if dutch:
-            lines.append("*** DUTCH BOOK: these prices lose at every outcome ***")
-        _emit(_human(lines), args.out)
-    return 0
+        })
+    lines = [f"exposure: {_fmt(exposure)} (best outcome: {space.labels[best]})"]
+    if dutch:
+        lines.append("*** DUTCH BOOK: these prices lose at every outcome ***")
+    return 0, _human(lines)
 
 
 # ------------------------------------------------------------------ main
@@ -632,10 +626,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.out:
+            _check_out(args.out)
+        code, pieces = args.func(args)
+        _emit(pieces, args.out)
+        return code
     except SchemaError as exc:
         print(f"beliefbet: schema error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ from .setfn import (
     OutcomeSpace,
     SetFunction,
     _butterfly,
+    _doubled,
     _frozen,
     _member_flags,
     zeta_transform,
@@ -99,14 +100,8 @@ def constant_gamble(space: OutcomeSpace, value: float) -> Gamble:
 
 def _additive_values(space: OutcomeSpace, prob: np.ndarray) -> np.ndarray:
     """Indicator prices under one probability vector, doubling one outcome at a
-    time: v[2^i : 2^(i+1)] = v[:2^i] + p_i. Each entry is the same sum, in the
-    same order, as in the zeta transform of the singleton seed."""
-    v = np.empty(space.size)
-    v[0] = 0.0
-    for i, p in enumerate(prob):
-        lo = 1 << i
-        np.add(v[:lo], p, out=v[lo : 2 * lo])
-    return v
+    time: each is the same sum, in the same order, as the singleton seed's zeta."""
+    return _doubled(0.0, prob, np.add, float)
 
 
 def _check_probability_vector(p: np.ndarray, what: str) -> np.ndarray:
@@ -332,48 +327,36 @@ def induced_set_function(pm: PriceModel) -> SetFunction:
     return SetFunction(pm.space, pm.induced_values())
 
 
-def payoff_layers(
-    payoff: np.ndarray, *, merge_tol: float = EXACT_TOL
-) -> list[tuple[float, int]]:
+def payoff_layers(payoff: np.ndarray) -> list[tuple[float, int]]:
     """Ascending distinct payoff levels with their upper-set masks.
 
-    Each entry is (level, mask of outcomes paying at least level). Levels
-    closer than ``merge_tol`` collapse into one, anchored at the lowest
-    value of the group, so near-ties cannot create zero-width layers.
+    Each entry is (level, mask of outcomes paying at least level), over at
+    most MAX_OUTCOMES outcomes. Levels closer than ``EXACT_TOL`` merge at
+    the group's lowest value, so near-ties cannot create zero-width layers.
     """
+    payoff = np.asarray(payoff, dtype=float)
     order = np.argsort(payoff, kind="stable")
-    groups: list[tuple[float, int]] = []
-    anchor = None
-    mask = 0
-    for i in order:
-        v = float(payoff[i])
-        if anchor is None or v - anchor >= merge_tol:
-            if anchor is not None:
-                groups.append((anchor, mask))
-            anchor, mask = v, 0
-        mask |= 1 << int(i)
-    groups.append((anchor, mask))
-    # upper-set masks: suffix union over the ascending groups
-    out: list[tuple[float, int]] = []
-    upper = 0
-    for level, mask in reversed(groups):
-        upper |= mask
-        out.append((level, upper))
-    out.reverse()
-    return out
+    # upper[j] is the union of the outcomes order[j:], {X >= level} at a group's first j
+    upper = np.bitwise_or.accumulate((1 << order)[::-1])[::-1]
+    layers: list[tuple[float, int]] = []
+    for level, mask in zip(payoff[order].tolist(), upper.tolist()):
+        if not layers or level - layers[-1][0] >= EXACT_TOL:
+            layers.append((level, mask))
+    return layers
 
 
-def choquet_layer_cake(bel: BeliefFunction, gamble: Gamble, *, merge_tol: float = EXACT_TOL) -> float:
+def choquet_layer_cake(bel: BeliefFunction, gamble: Gamble) -> float:
     """Price a gamble by slicing it into payoff layers.
 
     Sums (level - previous level) * Bel(payoff >= level) over the
-    ascending distinct levels, telescoping from 0, which matches the
-    focal-sum value for any sign pattern of the payoffs.
+    ascending distinct levels of :func:`payoff_layers` (merged within
+    ``EXACT_TOL``), telescoping from 0, which matches the focal-sum value
+    for any sign pattern of the payoffs.
     """
     _check_same_space(bel.space, gamble.space)
     total = 0.0
     prev = 0.0
-    for level, upper in payoff_layers(gamble.payoff, merge_tol=merge_tol):
+    for level, upper in payoff_layers(gamble.payoff):
         total += (level - prev) * float(bel.values[upper])
         prev = level
     return total

@@ -8,7 +8,10 @@ subset-sum (zeta) and Moebius transforms contiguous and cache friendly.
 Every lattice pass is one butterfly, :func:`_butterfly`, with the operator
 deciding what it computes: ``np.add`` the zeta transform (on a reversed
 table, the sum over supersets), ``np.subtract`` the Moebius transform, and
-``np.logical_or`` the up-closure of a family of sets.
+``np.logical_or`` the up-closure of a family of sets. Every table over the
+subsets of a list of steps is one doubling pass, :func:`_doubled`: ``np.add``
+additive prices and popcounts, ``np.bitwise_and`` subfamily intersections and
+``np.bitwise_or`` sublattices.
 
 Stage b of the butterfly pairs entries 2^b apart, so its contiguous runs are
 2^b entries long. numpy (2.4, default buffer size) copies runs shorter than
@@ -164,6 +167,16 @@ def _butterfly(table: np.ndarray, op: np.ufunc) -> np.ndarray:
     return table
 
 
+def _doubled(first, steps: Sequence, op: np.ufunc, dtype) -> np.ndarray:
+    """The 2^len(steps) table with table[0] = first and, for each step i and
+    every J < 2^i, table[J + 2^i] = op(table[J], steps[i])."""
+    table = np.empty(1 << len(steps), dtype=dtype)
+    table[0] = first
+    for i, step in enumerate(steps):
+        op(table[: 1 << i], step, out=table[1 << i : 2 << i])
+    return table
+
+
 def zeta_transform(values: np.ndarray) -> np.ndarray:
     """Subset-sum transform: out[A] = sum of values[B] over all B inside A."""
     return _butterfly(np.array(values, dtype=float), np.add)
@@ -192,11 +205,7 @@ def _deletion_family(subset: int, n: int) -> np.ndarray:
 def _subfamily_intersections(top: int, masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Intersections of the nonempty subfamilies I of ``masks`` (bit i of I picks
     masks[i]; entry I - 1) and whether |I| is odd, doubling one member at a time."""
-    inter = np.empty(1 << len(masks), dtype=np.int64)
-    inter[0] = top
-    for i, a in enumerate(masks):
-        lo = 1 << i
-        inter[lo : 2 * lo] = inter[:lo] & a
+    inter = _doubled(top, masks, np.bitwise_and, np.int64)
     odd = (np.bitwise_count(np.arange(1, inter.shape[0])) & 1).astype(bool)
     return inter[1:], odd
 

@@ -8,7 +8,11 @@ pricer. recovered_weights_by_dict builds the recovered mass one Moebius
 entry at a time, as the array-built one must equal bit for bit. Two route
 references replay, through the public pricing calls, the audit's sampling
 one row or one ledger at a time, as whole-sample passes must equal it bit
-for bit: duality_rhs_by_sell and sure_loss_per_ledger."""
+for bit: duality_rhs_by_sell and sure_loss_per_ledger. Five loops keep the
+subset tables built before the doubling builder ``setfn._doubled`` took them
+over, which must equal them bit for bit: additive_values_loop,
+subfamily_intersections_loop, sublattice_loop, popcounts_loop, and
+payoff_layers_two_pass for the grouping of payoff levels."""
 
 import math
 from itertools import combinations
@@ -76,6 +80,71 @@ def recovered_weights_by_dict(mob):
     if total != 1.0:
         weights = {mask: w / total for mask, w in weights.items()}
     return weights
+
+
+def additive_values_loop(space, prob):
+    """Indicator prices under one probability vector, doubling one outcome at a
+    time: v[2^i : 2^(i+1)] = v[:2^i] + p_i."""
+    v = np.empty(space.size)
+    v[0] = 0.0
+    for i, p in enumerate(prob):
+        lo = 1 << i
+        np.add(v[:lo], p, out=v[lo : 2 * lo])
+    return v
+
+
+def subfamily_intersections_loop(top, masks):
+    """Intersections of the nonempty subfamilies I of ``masks`` (bit i of I picks
+    masks[i]; entry I - 1) and whether |I| is odd, doubling one member at a time."""
+    inter = np.empty(1 << len(masks), dtype=np.int64)
+    inter[0] = top
+    for i, a in enumerate(masks):
+        lo = 1 << i
+        inter[lo : 2 * lo] = inter[:lo] & a
+    odd = (np.bitwise_count(np.arange(1, inter.shape[0])) & 1).astype(bool)
+    return inter[1:], odd
+
+
+def sublattice_loop(singles):
+    """Every union of the one-outcome masks ``singles`` (a list of ints), in
+    the order the certificate's Moebius pass reads them."""
+    inside = np.zeros(1 << len(singles), dtype=np.int64)
+    for i, single in enumerate(singles):
+        inside[1 << i : 2 << i] = inside[: 1 << i] | single
+    return inside
+
+
+def popcounts_loop(n):
+    """The uint8 popcount of every mask below 2^n, doubling one bit at a time."""
+    counts = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        np.add(counts[: 1 << i], 1, out=counts[1 << i : 2 << i])
+    return counts
+
+
+def payoff_layers_two_pass(payoff, merge_tol=1e-12):
+    """Ascending payoff levels merged within ``merge_tol`` of their group's
+    lowest value, with upper-set masks: one loop groups, a second one takes
+    the suffix unions."""
+    order = np.argsort(payoff, kind="stable")
+    groups = []
+    anchor = None
+    mask = 0
+    for i in order:
+        v = float(payoff[i])
+        if anchor is None or v - anchor >= merge_tol:
+            if anchor is not None:
+                groups.append((anchor, mask))
+            anchor, mask = v, 0
+        mask |= 1 << int(i)
+    groups.append((anchor, mask))
+    out = []
+    upper = 0
+    for level, mask in reversed(groups):
+        upper |= mask
+        out.append((level, upper))
+    out.reverse()
+    return out
 
 
 def duality_rhs_by_sell(pm, xs):

@@ -739,7 +739,7 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("reader, doc", [
         ("to-mass", choquet({"a": 0.5, "a,b,c": 0.5})),
         ("to-belief-machine", choquet({"a": 0.5, "a,b,c": 0.5})),
-        # the audit reaches its exit 1 verdict before the write fails
+        # the --out check fails before the audit could reach its exit 1 verdict
         ("audit", envelope([[0.5, 0.5, 0], [0, 0, 1]])),
         ("price-gambles", WELL_FORMED["gambles"]),
         ("dutchbook-ledger", WELL_FORMED["ledger"]),
@@ -753,6 +753,27 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"beliefbet: schema error: cannot write {out}: {exc.value}\n"
+
+    @pytest.mark.parametrize("name", ["missing/out.json", "."])
+    def test_unwritable_out_is_found_before_the_audit(self, tmp_path, capsys, monkeypatch, name):
+        calls, audit = [], beliefbet.cli.belief_consistency_audit
+        monkeypatch.setattr(beliefbet.cli, "belief_consistency_audit",
+                            lambda *a, **k: calls.append(a) or audit(*a, **k))
+        argv, _ = self.argv(tmp_path, "audit", WELL_FORMED["model"])
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith(f"beliefbet: schema error: cannot write {out}: ")
+
+    def test_failing_command_leaves_out_as_it_was(self, tmp_path, capsys):
+        argv, _ = self.argv(tmp_path, "audit", {"space": S3, "kind": "bogus"})
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("earlier output\n")
+        for out in (fresh, kept):
+            assert main(argv + ["--out", str(out)]) == 2
+        assert not fresh.exists()
+        assert kept.read_text() == "earlier output\n"
+        assert capsys.readouterr().out == ""
 
 
 MODEL_B = {"space": S3, "kind": "lower_envelope", "rows": [[0.5, 0.5, 0], [0, 0, 1]]}

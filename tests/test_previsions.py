@@ -29,6 +29,7 @@ from oracles import (
     intersection_walk_naive,
     linear_induced_naive,
     min_over,
+    payoff_layers_two_pass,
     valuation_oracle,
 )
 
@@ -310,6 +311,47 @@ class TestChoquetLayerCake:
         bel = bb.mass_to_belief(bb.MassFunction(sp, {0b11: 1.0}))
         g = bb.Gamble(sp, np.array([0.5, 0.5 + 1e-13]))
         assert bb.choquet_layer_cake(bel, g) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestPayoffLayers:
+    """payoff_layers against the two-loop grouping of tests/oracles.py: the
+    same levels, bit for bit, the same masks and the same Python types."""
+
+    @staticmethod
+    def check(payoff):
+        got = bb.payoff_layers(np.array(payoff, dtype=float))
+        want = payoff_layers_two_pass(np.array(payoff, dtype=float))
+        assert [(level.hex(), mask) for level, mask in got] == [
+            (level.hex(), mask) for level, mask in want
+        ]
+        assert all(type(level) is float and type(mask) is int for level, mask in got)
+        return got
+
+    def test_one_outcome(self):
+        for x in (-2.0, 0.0, 0.75):
+            assert self.check([x]) == [(x, 1)]
+
+    def test_exact_ties(self):
+        assert self.check([0.5, 0.2, 0.5, 0.2, -0.1]) == [(-0.1, 31), (0.2, 15), (0.5, 5)]
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            self.check(rng.integers(-3, 4, size=int(rng.integers(1, 13))) / 4)
+
+    def test_near_tie_chains_keep_the_anchor(self):
+        # each step is inside 1e-12, the chain is not: a new level starts once
+        # a value is 1e-12 above its group's lowest value
+        got = self.check([0.0, 6e-13, 1.2e-12, 1.8e-12])
+        assert got == [(0.0, 15), (1.2e-12, 12)]
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            base = rng.choice([-1.0, -0.25, 0.0, 0.5], size=n)
+            self.check(base + rng.integers(0, 6, size=n) * rng.uniform(2e-13, 9e-13))
+
+    def test_negative_payoffs(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            self.check(rng.uniform(-1.0, 0.0, size=int(rng.integers(1, 25))))
 
 
 class TestGuaranteedRevenue:

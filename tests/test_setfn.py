@@ -13,11 +13,15 @@ import beliefbet.previsions
 import beliefbet.setfn
 from conftest import mass_functions, random_mass, space_of, wide_mass
 from oracles import (
+    additive_values_loop,
     bits,
     butterfly_per_bit,
     inclusion_exclusion_slack_naive,
     mobius_naive,
+    popcounts_loop,
     recovered_weights_by_dict,
+    subfamily_intersections_loop,
+    sublattice_loop,
     zeta_naive,
 )
 
@@ -514,6 +518,49 @@ class TestAdditiveTablesByDoubling:
             )
             linear = bb.LinearModel(space, rows[0]).induced_values()
             assert np.array_equal(linear.view(np.int64), zeta_rows[0].view(np.int64))
+
+
+class TestDoublingBuilder:
+    """Every table _doubled builds against the loop it replaced in
+    tests/oracles.py, bit for bit."""
+
+    @staticmethod
+    def same_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 16])
+    def test_additive_prices(self, n):
+        rng = np.random.default_rng(n)
+        space = bb.make_space([f"x{i}" for i in range(n)])
+        for _ in range(8):
+            prob = rng.uniform(0.05, 1.0, n)
+            prob /= prob.sum()
+            want = additive_values_loop(space, prob)
+            self.same_bits(beliefbet.previsions._additive_values(space, prob), want)
+            self.same_bits(bb.LinearModel(space, prob).induced_values(), want)
+
+    def test_subfamily_intersections(self):
+        rng = np.random.default_rng(41)
+        for k in range(1, 21):
+            masks = [int(m) for m in rng.integers(0, 1 << 20, size=k)]
+            got = beliefbet.setfn._subfamily_intersections((1 << 20) - 1, masks)
+            want = subfamily_intersections_loop((1 << 20) - 1, masks)
+            for g, w in zip(got, want):
+                self.same_bits(g, w)
+
+    def test_sublattices(self):
+        rng = np.random.default_rng(42)
+        for k in range(2, 21):
+            singles = 1 << np.sort(rng.choice(24, size=k, replace=False))
+            got = beliefbet.setfn._doubled(0, singles, np.bitwise_or, np.int64)
+            self.same_bits(got, sublattice_loop(singles.tolist()))
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_popcounts(self, n):
+        got = beliefbet.setfn._doubled(0, [1] * n, np.add, np.uint8)
+        self.same_bits(got, popcounts_loop(n))
+        assert np.array_equal(got, np.bitwise_count(np.arange(1 << n)))
 
 
 class TestMemberFlags:
