@@ -15,8 +15,13 @@ wide documents take every kind, with and without escaped labels. These
 choices follow the document index and change no draw of any other
 document. Every model document is
 audited in human and machine format, with default flags and with
-``--seed 7 --samples 64 --tol 1e-7``; every document goes through
-``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12. The
+``--seed 7 --samples 64 --tol 1e-7``, and it prices a seeded gamble document
+(``price``) and scores a seeded, nonempty ledger document (``dutchbook``) in
+both formats; those two documents come from a stream of their own, so they
+change no draw of the model documents. Every document goes through
+``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12. So a
+model document gives 12 runs and a belief table 4: 3,744 at the default 400
+documents and 112 at 12. The
 ``--seed 7`` audits and the ``--tol 1e-12`` transforms write through
 ``--out``, each runner to its own file; for them the file's text is the
 output, and their stdout, which must stay empty, is compared as well.
@@ -187,12 +192,38 @@ def make_document(seed: int, index: int) -> dict:
     return _belief_doc(labels, _belief_values(n, masks, raw / math.fsum(raw.tolist())))
 
 
-def jobs_for(path: str, doc: dict) -> list[list[str]]:
+def make_bets(seed: int, index: int, labels: list[str]) -> tuple[dict, dict]:
+    """Seeded gamble and ledger documents on the space of document ``index``,
+    drawn from a stream of their own. Every other gamble is left unnamed, and
+    the ledger holds 1-3 buys and 0-3 sells at prices drawn on [-1, 1]."""
+    rng = np.random.default_rng([seed, index, 1])
+    n = len(labels)
+    gambles = [{"payoff": rng.uniform(-1.0, 1.0, n).tolist()}
+               for _ in range(int(rng.integers(1, 6)))]
+    for j in range(0, len(gambles), 2):
+        gambles[j]["name"] = f"bet{j}"
+
+    def side(count: int) -> list[dict]:
+        return [{"payoff": rng.uniform(-1.0, 1.0, n).tolist(), "price": float(rng.uniform(-1.0, 1.0))}
+                for _ in range(count)]
+
+    ledger = {"space": labels, "buys": side(int(rng.integers(1, 4))),
+              "sells": side(int(rng.integers(0, 4)))}
+    return {"space": labels, "gambles": gambles}, ledger
+
+
+def jobs_for(doc: dict, path: str, gambles: str, ledger: str) -> list[list[str]]:
+    """The runs of the document ``doc`` written at ``path``; ``gambles`` and
+    ``ledger`` are the paths of its :func:`make_bets` documents, read when
+    ``doc`` is a model."""
     jobs = []
     if doc["kind"] != "belief":
         for flags in AUDIT_FLAGS:
             for fmt in FORMATS:
                 jobs.append(["audit", path, "--format", fmt, *flags])
+        for fmt in FORMATS:
+            jobs.append(["price", path, gambles, "--format", fmt])
+            jobs.append(["dutchbook", path, ledger, "--format", fmt])
     for flags in TRANSFORM_FLAGS:
         for fmt in FORMATS:
             jobs.append(["transform", path, "--to", "mass", "--format", fmt, *flags])
@@ -243,10 +274,11 @@ def main(argv: list[str] | None = None) -> int:
         work = Path(tmp)
         jobs = []
         for index in range(args.docs):
-            path = work / f"doc{index:04d}.json"
             doc = make_document(CORPUS_SEED, index)
-            path.write_text(json.dumps(doc))
-            jobs.extend(jobs_for(str(path), doc))
+            paths = [work / f"{stem}{index:04d}.json" for stem in ("doc", "gambles", "ledger")]
+            for path, written in zip(paths, (doc, *make_bets(CORPUS_SEED, index, doc["space"]))):
+                path.write_text(json.dumps(written))
+            jobs.extend(jobs_for(doc, *map(str, paths)))
         digests = _run_both(work, jobs, base_src, "digest")
         if digests is None:
             return 2

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -76,21 +76,20 @@ _LEDGER_STREAM = 2
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic probe plan. One seed fixes every draw of an audit."""
+    """Deterministic probe plan. One seed fixes every draw of an audit.
+
+    Coherent buy prices are positively homogeneous and translation-equivariant,
+    so every gamble is drawn on the fixed range [-1, 1] and every audit prices
+    32 sampled ledgers; only the sample count and the seed are settings."""
 
     num_samples: int = 256
-    payoff_range: tuple[float, float] = (-1.0, 1.0)
+    payoff_range: ClassVar[tuple[float, float]] = (-1.0, 1.0)
     seed: int = 0
-    num_ledgers: int = 32
+    num_ledgers: ClassVar[int] = 32
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:
             raise BeliefBetError("num_samples must be at least 1")
-        lo, hi = self.payoff_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise BeliefBetError(f"payoff_range must be a finite (low, high) pair, got {self.payoff_range}")
-        if self.num_ledgers < 0:
-            raise BeliefBetError("num_ledgers cannot be negative")
         if self.seed < 0:
             raise BeliefBetError(f"seed cannot be negative, got {self.seed}")
 
@@ -176,8 +175,6 @@ class PropertyProbe:
 class CoherenceProbeReport:
     """Worst slack and pass counts per probed pricing property."""
 
-    plan: SamplePlan
-    tol: float
     probes: dict[str, PropertyProbe]
 
     @property
@@ -239,7 +236,7 @@ def coherence_probe(
         "translation": probe(translation),
         "duality": probe(duality),
     }
-    return CoherenceProbeReport(plan=plan, tol=tol, probes=probes)
+    return CoherenceProbeReport(probes)
 
 
 @dataclass(frozen=True)
@@ -464,17 +461,13 @@ def _choquet_gap_certificate(
 
 
 def verify_certificate(
-    pm: PriceModel,
-    cert: ViolationCertificate,
-    *,
-    tol: float = DEFAULT_TOL,
-    exact_tol: float = EXACT_TOL,
+    pm: PriceModel, cert: ViolationCertificate, *, tol: float = DEFAULT_TOL
 ) -> bool:
     """Recheck a certificate against a model from scratch.
 
     True iff, over every one of the 2^n - 1 nonempty cores, the summed
     worst-case revenue of ``xs`` stays below that of ``ys`` (within
-    ``exact_tol``), and the model's summed buy price of ``xs`` strictly
+    ``EXACT_TOL``), and the model's summed buy price of ``xs`` strictly
     exceeds that of ``ys`` by more than ``tol``.
 
     The revenues come from the layer cake: on a core C, a gamble X sorted as
@@ -498,7 +491,7 @@ def verify_certificate(
     table = np.bincount(upper[:, 1:].ravel(), widths.ravel(), minlength=cert.space.size)
     # the subset sums of the reversed table are the superset sums
     gap = _butterfly(table[::-1], np.add)[::-1] + math.fsum((signs * levels[:, 0]).tolist())
-    if not np.all(gap[1:] <= exact_tol):
+    if not np.all(gap[1:] <= EXACT_TOL):
         return False
     bought_x = math.fsum(buy(pm, g) for g in cert.xs)
     bought_y = math.fsum(buy(pm, g) for g in cert.ys)
@@ -514,7 +507,7 @@ class AuditReport:
     plan: SamplePlan
     tolerances: dict[str, float]
     coherence: CoherenceProbeReport
-    sure_loss_worst: float | None
+    sure_loss_worst: float
     is_probability: bool
     probability_witness: tuple[int, int] | None
     is_belief_consistent: bool
@@ -527,12 +520,10 @@ class AuditReport:
             raise BeliefBetError("a certificate must accompany exactly the failing verdicts")
 
 
-def _sampled_sure_loss(pm: PriceModel, plan: SamplePlan) -> float | None:
+def _sampled_sure_loss(pm: PriceModel, plan: SamplePlan) -> float:
     """Worst exposure over seeded ledgers priced at the model's own quotes.
     All ledgers are drawn first; every side keeps the price bits of its own
     ``buy_batch`` call, and each profile is summed buys first, then sells."""
-    if plan.num_ledgers == 0:
-        return None
     rng = _rng(plan, _LEDGER_STREAM)
     lo, hi = plan.payoff_range
     n = pm.space.n
@@ -555,11 +546,7 @@ def _sampled_sure_loss(pm: PriceModel, plan: SamplePlan) -> float | None:
 
 
 def belief_consistency_audit(
-    pm: PriceModel,
-    plan: SamplePlan = SamplePlan(),
-    *,
-    tol: float = DEFAULT_TOL,
-    exact_tol: float = EXACT_TOL,
+    pm: PriceModel, plan: SamplePlan = SamplePlan(), *, tol: float = DEFAULT_TOL
 ) -> AuditReport:
     """Full audit: probes, sure-loss sampling, probability check, and the
     belief-consistency verdict with a verified certificate on failure.
@@ -602,7 +589,7 @@ def belief_consistency_audit(
 
     verified: bool | None = None
     if certificate is not None:
-        verified = verify_certificate(pm, certificate, tol=tol, exact_tol=exact_tol)
+        verified = verify_certificate(pm, certificate, tol=tol)
         if not verified:
             raise BeliefBetError("internal error: emitted certificate failed verification")
 
@@ -610,7 +597,7 @@ def belief_consistency_audit(
         space=space,
         model_kind=getattr(pm, "kind", type(pm).__name__),
         plan=plan,
-        tolerances={"tol": tol, "exact_tol": exact_tol},
+        tolerances={"tol": tol, "exact_tol": EXACT_TOL},
         coherence=probe_report,
         sure_loss_worst=sure_worst,
         is_probability=prob.is_probability,

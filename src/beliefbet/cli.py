@@ -67,22 +67,23 @@ _MODEL_KINDS = tuple(model.kind for model in (LinearModel, ChoquetModel, LowerEn
 # ---------------------------------------------------------------- loading
 
 
-def _load_document(path: str) -> dict:
+def _read_document(path: str) -> tuple[dict, bytes]:
+    """The document at ``path`` and the bytes it was parsed from, read once."""
     try:
         with open(path, "rb") as fh:
-            doc = json.load(fh)
+            data = fh.read()
+        doc = json.loads(data)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too long or too deep
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
-    return doc
+    return doc, data
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _load_document(path: str) -> dict:
+    return _read_document(path)[0]
 
 
 def _reader(read: Callable[..., Any]) -> Callable[..., Any]:
@@ -467,12 +468,13 @@ def _probe_doc(report: AuditReport) -> dict:
     }
 
 
-def _report_doc(args: argparse.Namespace, report: AuditReport) -> dict:
+def _report_doc(args: argparse.Namespace, report: AuditReport, data: bytes) -> dict:
+    """The machine report of an audit of ``data``, the bytes read from ``args.model``."""
     space = report.space
     doc: dict[str, Any] = {
         "tool": {"name": "beliefbet", "version": __version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "input": {"path": args.model, "sha256": _digest(args.model)},
+        "input": {"path": args.model, "sha256": hashlib.sha256(data).hexdigest()},
         "space": list(space.labels),
         "model_kind": report.model_kind,
         "plan": {
@@ -519,8 +521,7 @@ def _report_lines(report: AuditReport) -> list[str]:
             f"coherence {name}: worst slack {_fmt(probe.worst_slack)} "
             f"({probe.passed}/{probe.checked}) {status}"
         )
-    if report.sure_loss_worst is not None:
-        lines.append(f"sure-loss worst exposure: {_fmt(report.sure_loss_worst)}")
+    lines.append(f"sure-loss worst exposure: {_fmt(report.sure_loss_worst)}")
     lines.append(f"prices additive (probability): {report.is_probability}")
     if report.probability_witness is not None:
         a, b = subset_keys(space.labels, report.probability_witness)
@@ -537,12 +538,13 @@ def _report_lines(report: AuditReport) -> list[str]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    pm = _model_from(_load_document(args.model))
+    doc, data = _read_document(args.model)
+    pm = _model_from(doc)
     plan = SamplePlan(num_samples=args.samples, seed=args.seed)
     report = belief_consistency_audit(pm, plan, tol=args.tol)
     code = 0 if report.is_belief_consistent else 1
     if args.format == "machine":
-        return code, _machine(_report_doc(args, report))
+        return code, _machine(_report_doc(args, report, data))
     return code, _human(_report_lines(report))
 
 

@@ -290,9 +290,6 @@ class MassFunction:
         dense[self._masks] = self._weights
         return dense
 
-    def focal_sets(self) -> tuple[int, ...]:
-        return tuple(self.weights)
-
 
 @dataclass(frozen=True, eq=False)
 class BeliefFunction:
@@ -328,7 +325,6 @@ class NegativeMassReport:
     space: OutcomeSpace
     masks: np.ndarray
     weights: np.ndarray
-    tol: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "masks", _frozen(np.array(self.masks, dtype=np.int64)))
@@ -392,7 +388,7 @@ def _classify_mobius(
     _check_endpoints(f.values)
     bad = np.flatnonzero(mob < -tol)
     if bad.size:
-        return NegativeMassReport(f.space, bad, mob[bad], tol)
+        return NegativeMassReport(f.space, bad, mob[bad])
     masks = np.flatnonzero(mob[1:] > 0.0) + 1
     vals = mob[masks]
     total = math.fsum(vals.tolist())

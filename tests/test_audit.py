@@ -30,6 +30,20 @@ def test_negative_seed_rejected():
     assert bb.SamplePlan(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("num_samples", [0, -3])
+def test_sample_count_below_one_rejected(num_samples):
+    with pytest.raises(bb.BeliefBetError, match="num_samples must be at least 1"):
+        bb.SamplePlan(num_samples=num_samples)
+    assert bb.SamplePlan(num_samples=1).num_samples == 1
+
+
+@pytest.mark.parametrize("name", ["payoff_range", "num_ledgers"])
+def test_payoff_range_and_ledger_count_are_fixed(name):
+    with pytest.raises(TypeError, match=name):
+        bb.SamplePlan(**{name: getattr(bb.SamplePlan, name)})
+    assert (bb.SamplePlan.payoff_range, bb.SamplePlan.num_ledgers) == ((-1.0, 1.0), 32)
+
+
 class MaxOracle:
     """Adversarial non-model: prices every gamble at its best payoff.
 
@@ -202,16 +216,16 @@ class TestWholeSamplePasses:
     @pytest.mark.parametrize("n", [1, 2, 14, 20])
     @pytest.mark.parametrize("kind", ROUTE_KINDS)
     def test_sure_loss_equals_per_ledger_loop(self, kind, n):
-        # 200 ledgers give about 500 rows a side, so one Choquet call crosses
-        # many pricer blocks (65 focal sets each at 500 rows)
         pm = route_model(kind, n)
-        for seed, num_ledgers in ((0, 32), (7, 200), (3, 1)):
-            plan = bb.SamplePlan(seed=seed, num_ledgers=num_ledgers)
+        for seed in (0, 7, 3):
+            plan = bb.SamplePlan(seed=seed)
             stream = beliefbet.audit._rng(plan, beliefbet.audit._LEDGER_STREAM)
-            want = sure_loss_per_ledger(pm, stream, num_ledgers, plan.payoff_range)
+            want = sure_loss_per_ledger(pm, stream, plan.num_ledgers, plan.payoff_range)
             assert bits_equal(beliefbet.audit._sampled_sure_loss(pm, plan), want)
+        # the 32 ledgers give about 80 rows a side; blocks of 500 rows in all
+        # make one Choquet call cross many pricer blocks (65 focal sets each)
         rng = np.random.default_rng(n)
-        blocks = [tied_payoffs(rng, k, n) for k in (0, 3, 1, 0, 5, 2, 0)]
+        blocks = [tied_payoffs(rng, k, n) for k in (0, 3, 1, 0, 5, 2, 0, 245, 0, 244)]
         for block, prices in zip(blocks, _buy_blocks(pm, blocks)):
             assert bits_equal(prices, bb.buy_batch(pm, block) if len(block) else [])
 
@@ -452,7 +466,7 @@ class TestPrimaryWitness:
 class TestSharedWitnessRule:
     def test_three_witnesses_match_brute_force(self):
         rng = np.random.default_rng(31)
-        plan = bb.SamplePlan(num_samples=16, num_ledgers=0)
+        plan = bb.SamplePlan(num_samples=16)
         checked = 0
         for _ in range(200):
             n = int(rng.integers(3, 9))

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -279,8 +280,28 @@ class TestAudit:
         out = tmp_path / "report.json"
         assert main(["audit", model, "--format", "machine", "--out", str(out)]) == 1
         doc = json.loads(out.read_text())
-        assert doc["input"]["sha256"]
+        digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+        assert doc["input"] == {"path": model, "sha256": digest}
         assert doc["tool"]["name"] == "beliefbet"
+        assert list(doc["plan"].items()) == [
+            ("num_samples", 256), ("payoff_range", [-1.0, 1.0]), ("seed", 0), ("num_ledgers", 32)
+        ]
+        assert list(doc["tolerances"].items()) == [("tol", 1e-09), ("exact_tol", 1e-12)]
+
+    def test_model_is_read_once(self, tmp_path, monkeypatch, capsys):
+        # the model file is gone before the audit runs; the report still
+        # carries the digest of the bytes that were audited
+        model = write(tmp_path, "model.json", REFERENCE_MODEL)
+        digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+        audit = beliefbet.cli.belief_consistency_audit
+
+        def remove_then_audit(*args, **kwargs):
+            (tmp_path / "model.json").unlink()
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(beliefbet.cli, "belief_consistency_audit", remove_then_audit)
+        assert main(["audit", model, "--format", "machine"]) == 1
+        assert json.loads(capsys.readouterr().out)["input"]["sha256"] == digest
 
     def test_bad_model_exits_two(self, tmp_path):
         model = write(
@@ -350,6 +371,9 @@ class TestBadFlags:
     def test_negative_seed_exits_two(self, commands, capsys):
         assert main(commands["audit"] + ["--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+        for samples in ("0", "-3"):
+            assert main(commands["audit"] + ["--samples", samples]) == 2
+            assert "num_samples must be at least 1" in capsys.readouterr().err
 
 
 class TestDutchbook:

@@ -486,7 +486,7 @@ class TestNegativeMassArrays:
     def test_constructor_copies_and_freezes(self):
         sp = space_of(3)
         masks, weights = np.array([3, 6]), np.array([-0.5, -0.25])
-        report = bb.NegativeMassReport(sp, masks, weights, 1e-9)
+        report = bb.NegativeMassReport(sp, masks, weights)
         masks[0], weights[0] = 5, 0.0
         assert report.entries == ((3, -0.5), (6, -0.25))
         assert masks.flags.writeable
