@@ -19,9 +19,10 @@ audited in human and machine format, with default flags and with
 (``price``) and scores a seeded, nonempty ledger document (``dutchbook``) in
 both formats; those two documents come from a stream of their own, so they
 change no draw of the model documents. Every document goes through
-``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12. So a
-model document gives 12 runs and a belief table 4: 3,744 at the default 400
-documents and 112 at 12. The
+``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12, and
+every Choquet document through ``transform --to belief`` in both formats. So
+a Choquet document gives 14 runs, any other model document 12 and a belief
+table 4: 3,878 at the default 400 documents and 116 at 12. The
 ``--seed 7`` audits and the ``--tol 1e-12`` transforms write through
 ``--out``, each runner to its own file; for them the file's text is the
 output, and their stdout, which must stay empty, is compared as well.
@@ -227,6 +228,9 @@ def jobs_for(doc: dict, path: str, gambles: str, ledger: str) -> list[list[str]]
     for flags in TRANSFORM_FLAGS:
         for fmt in FORMATS:
             jobs.append(["transform", path, "--to", "mass", "--format", fmt, *flags])
+    if doc["kind"] == "choquet":
+        for fmt in FORMATS:
+            jobs.append(["transform", path, "--to", "belief", "--format", fmt])
     return jobs
 
 

@@ -41,8 +41,6 @@ from .previsions import (
     PriceModel,
     buy,
     buy_batch,
-    choquet_expectation,
-    indicator,
     induced_set_function,
     payoff_layers,
     sell,
@@ -59,6 +57,7 @@ from .setfn import (
     OutcomeSpace,
     SetFunction,
     _butterfly,
+    _check_tol,
     _classify_mobius,
     _deletion_family,
     _doubled,
@@ -200,6 +199,7 @@ def coherence_probe(
     Equality-style properties report slack as minus the absolute deviation,
     so every slack should sit above -tol.
     """
+    _check_tol(tol)
     rng = _rng(plan, _PROBE_STREAM)
     lo, hi = plan.payoff_range
     num = plan.num_samples
@@ -251,6 +251,7 @@ class ProbabilityCheck:
 def _probability_verdict(
     space: OutcomeSpace, values: np.ndarray, mob: np.ndarray, tol: float
 ) -> ProbabilityCheck:
+    _check_tol(tol)
     # star is the lowest mask among those with the fewest outcomes, two or
     # more, and |weight| > tol. A bool and a uint8 table pick it, so the
     # transient stays near 2 bytes per subset.
@@ -341,8 +342,8 @@ class ViolationCertificate:
         return self.witness.kind
 
 
-def _indicators(space: OutcomeSpace, masks: np.ndarray) -> tuple[Gamble, ...]:
-    return tuple(Gamble(space, row) for row in _member_flags(masks, space.n).astype(float))
+def _gambles(space: OutcomeSpace, payoffs: np.ndarray) -> tuple[Gamble, ...]:
+    return tuple(Gamble(space, row) for row in payoffs)
 
 
 def certificate_from_negative_mass(
@@ -356,6 +357,7 @@ def certificate_from_negative_mass(
     When some two family members already violate the pair inequality, that
     minimal two-set instance is emitted instead.
     """
+    _check_tol(tol)
     space = f.space
     space.check_mask(subset)
     if subset.bit_count() < 2:
@@ -387,12 +389,10 @@ def certificate_from_negative_mass(
         xs_masks = inter[odd]
         ys_masks = np.concatenate(([subset], inter[~odd]))  # the union of the family first
         gap = math.fsum(values[xs_masks].tolist()) - math.fsum(values[ys_masks].tolist())
-    xs = _indicators(space, xs_masks)
-    ys = _indicators(space, ys_masks)
     return ViolationCertificate(
         space=space,
-        xs=xs,
-        ys=ys,
+        xs=_gambles(space, _member_flags(xs_masks, space.n).astype(float)),
+        ys=_gambles(space, _member_flags(ys_masks, space.n).astype(float)),
         buy_gap=float(gap),
         witness=NegativeMassWitness(subset=subset, mass=float(mass_value)),
     )
@@ -415,25 +415,24 @@ def certificate_from_choquet_gap(
         raise BeliefBetError(
             "inverted indicator prices are negative; use certificate_from_negative_mass"
         )
-    return _choquet_gap_certificate(pm, gamble, inverted, tol)
+    return _choquet_gap_certificate(pm, gamble, ChoquetModel(inverted), tol)
 
 
 def _choquet_gap_certificate(
-    pm: PriceModel, gamble: Gamble, inverted: MassFunction, tol: float
+    pm: PriceModel, gamble: Gamble, choquet: ChoquetModel, tol: float
 ) -> ViolationCertificate:
     """:func:`certificate_from_choquet_gap` for callers that already hold
-    ``inverted``, the recovered mass of the model's indicator prices."""
+    ``choquet``, the Choquet model of the recovered mass of the model's
+    indicator prices."""
     space = pm.space
     shift = float(gamble.payoff.min())
     shifted = Gamble(space, gamble.payoff - shift)
     layers = [
         (level, upper) for level, upper in payoff_layers(shifted.payoff) if level > 0.0
     ]
-    layer_gambles: list[Gamble] = []
-    prev = 0.0
-    for level, upper in layers:
-        layer_gambles.append((level - prev) * indicator(space, upper))
-        prev = level
+    widths = np.diff([level for level, _ in layers], prepend=0.0)
+    flags = _member_flags([upper for _, upper in layers], space.n)
+    layer_gambles = _gambles(space, widths[:, None] * flags)
     model_price = buy(pm, shifted)
     layer_price = math.fsum(buy(pm, layer) for layer in layer_gambles)
     gap = model_price - layer_price
@@ -443,9 +442,9 @@ def _choquet_gap_certificate(
         )
     if gap > 0:
         xs: tuple[Gamble, ...] = (shifted,)
-        ys: tuple[Gamble, ...] = tuple(layer_gambles)
+        ys: tuple[Gamble, ...] = layer_gambles
     else:
-        xs = tuple(layer_gambles)
+        xs = layer_gambles
         ys = (shifted,)
     return ViolationCertificate(
         space=space,
@@ -455,7 +454,7 @@ def _choquet_gap_certificate(
         witness=ChoquetGapWitness(
             gamble=gamble,
             model_price=buy(pm, gamble),
-            choquet_price=choquet_expectation(inverted, gamble),
+            choquet_price=buy(choquet, gamble),
         ),
     )
 
@@ -477,6 +476,7 @@ def verify_certificate(
     of the minima gives revenue_x - revenue_y on every core, in O(n 2^n)
     for the whole certificate plus a sort of each gamble.
     """
+    _check_tol(tol)
     _check_same_space(pm.space, cert.space)
     gambles = cert.xs + cert.ys
     for g in gambles:
@@ -581,10 +581,11 @@ def belief_consistency_audit(
         consistent = False
     elif not _choquet_by_construction(pm):
         samples = sample_gambles(space, plan)
-        gaps = np.abs(buy_batch(pm, samples) - ChoquetModel(inverted).buy_payoff_batch(samples))
+        choquet = ChoquetModel(inverted)
+        gaps = np.abs(buy_batch(pm, samples) - choquet.buy_payoff_batch(samples))
         worst = int(np.argmax(gaps))
         if gaps[worst] > tol:
-            certificate = _choquet_gap_certificate(pm, Gamble(space, samples[worst]), inverted, tol)
+            certificate = _choquet_gap_certificate(pm, Gamble(space, samples[worst]), choquet, tol)
             consistent = False
 
     verified: bool | None = None

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -80,10 +80,6 @@ def _read_document(path: str) -> tuple[dict, bytes]:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return doc, data
-
-
-def _load_document(path: str) -> dict:
-    return _read_document(path)[0]
 
 
 def _reader(read: Callable[..., Any]) -> Callable[..., Any]:
@@ -329,7 +325,7 @@ def _machine(doc: dict) -> Iterator[str]:
 
 
 def _gamble_doc(g: Gamble) -> dict:
-    return {"payoff": [float(v) for v in g.payoff]}
+    return {"payoff": g.payoff.tolist()}
 
 
 def _describe_gambles(space: OutcomeSpace, gambles: Sequence[Gamble]) -> list[str]:
@@ -399,7 +395,7 @@ def _listing_lines(listing: _Listing) -> list[str]:
 
 
 def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    doc = _load_document(args.input)
+    doc = _read_document(args.input)[0]
     space = _space_from(doc)
     kind = doc.get("kind")
     if args.to == "belief":
@@ -444,8 +440,8 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_price(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    pm = _model_from(_load_document(args.model))
-    space, gambles = _gambles_from(_load_document(args.gambles))
+    pm = _model_from(_read_document(args.model)[0])
+    space, gambles = _gambles_from(_read_document(args.gambles)[0])
     if space != pm.space:
         raise SchemaError("model and gamble documents use different spaces")
     rows = [(name, buy(pm, g), sell(pm, g)) for name, g in gambles]
@@ -458,14 +454,7 @@ def _cmd_price(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _probe_doc(report: AuditReport) -> dict:
-    return {
-        name: {
-            "worst_slack": probe.worst_slack,
-            "checked": probe.checked,
-            "passed": probe.passed,
-        }
-        for name, probe in report.coherence.probes.items()
-    }
+    return {name: asdict(probe) for name, probe in report.coherence.probes.items()}
 
 
 def _report_doc(args: argparse.Namespace, report: AuditReport, data: bytes) -> dict:
@@ -549,8 +538,8 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_dutchbook(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    pm = _model_from(_load_document(args.model))
-    space, ledger = _ledger_from(_load_document(args.ledger))
+    pm = _model_from(_read_document(args.model)[0])
+    space, ledger = _ledger_from(_read_document(args.ledger)[0])
     if space != pm.space:
         raise SchemaError("model and ledger documents use different spaces")
     profile = exposure_profile(ledger)

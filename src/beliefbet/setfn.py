@@ -229,6 +229,13 @@ def _check_endpoints(values: np.ndarray) -> None:
         )
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a ``tol`` that is not a finite number >= 0; NaN compares false
+    and an infinite tolerance passes everything."""
+    if not 0.0 <= tol < math.inf:
+        raise BeliefBetError(f"tol must be a finite number >= 0, got {float(tol)!r}")
+
+
 def _fewest_outcomes(masks: np.ndarray, *, lowest: bool = False) -> int:
     """Canonical witness among ``masks``: fewest outcomes first, ties broken
     toward the subset containing later outcomes, or the lowest mask if ``lowest``."""
@@ -253,12 +260,14 @@ class MassFunction:
     """Positive weights on nonempty focal sets, summing to one.
 
     Only focal sets are stored; iteration order is ascending mask.
+    ``mask_array`` (int64) and ``weight_array`` (float) hold the focal sets
+    and their weights in that order, as frozen arrays.
     """
 
     space: OutcomeSpace
     weights: Mapping[int, float]
-    _masks: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
+    mask_array: np.ndarray = field(init=False, repr=False)
+    weight_array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         clean: dict[int, float] = {}
@@ -274,20 +283,12 @@ class MassFunction:
         if abs(total - 1.0) > EXACT_TOL:
             raise BeliefBetError(f"focal weights must sum to 1, got {total!r}")
         object.__setattr__(self, "weights", clean)
-        object.__setattr__(self, "_masks", _frozen(np.fromiter(clean, dtype=np.int64, count=len(clean))))
-        object.__setattr__(self, "_weights", _frozen(np.fromiter(clean.values(), dtype=float, count=len(clean))))
-
-    @property
-    def mask_array(self) -> np.ndarray:
-        return self._masks
-
-    @property
-    def weight_array(self) -> np.ndarray:
-        return self._weights
+        object.__setattr__(self, "mask_array", _frozen(np.fromiter(clean, dtype=np.int64, count=len(clean))))
+        object.__setattr__(self, "weight_array", _frozen(np.fromiter(clean.values(), dtype=float, count=len(clean))))
 
     def as_dense(self) -> np.ndarray:
         dense = np.zeros(self.space.size)
-        dense[self._masks] = self._weights
+        dense[self.mask_array] = self.weight_array
         return dense
 
 
@@ -385,6 +386,7 @@ def _classify_mobius(
 ) -> MassFunction | NegativeMassReport:
     """The classification half of :func:`belief_to_mass`, for callers that
     already hold ``mob``, the Moebius transform of ``f.values``; it is only read."""
+    _check_tol(tol)
     _check_endpoints(f.values)
     bad = np.flatnonzero(mob < -tol)
     if bad.size:
@@ -407,6 +409,7 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     and, when it has at least two outcomes, the family of its one-element
     deletions, whose inclusion-exclusion slack equals the negative weight.
     """
+    _check_tol(tol)
     values = f.values
     if abs(values[0]) > EXACT_TOL:
         return BeliefCheck(False, reason=f"empty set must map to 0, got {float(values[0])!r}")

@@ -12,7 +12,9 @@ for bit: duality_rhs_by_sell and sure_loss_per_ledger. Five loops keep the
 subset tables built before the doubling builder ``setfn._doubled`` took them
 over, which must equal them bit for bit: additive_values_loop,
 subfamily_intersections_loop, sublattice_loop, popcounts_loop, and
-payoff_layers_two_pass for the grouping of payoff levels."""
+payoff_layers_two_pass for the grouping of payoff levels. choquet_gap_layers_loop
+keeps the Choquet-gap certificate's layers built one Gamble at a time, which
+its one-matrix build must equal bit for bit."""
 
 import math
 from itertools import combinations
@@ -145,6 +147,20 @@ def payoff_layers_two_pass(payoff, merge_tol=1e-12):
         out.append((level, upper))
     out.reverse()
     return out
+
+
+def choquet_gap_layers_loop(gamble):
+    """The layers of a gamble's positive payoff levels: per level, the
+    indicator of its upper set, then that Gamble scaled by the level's width
+    above the previous positive level (or above 0 for the first)."""
+    space = gamble.space
+    layers = [(level, upper) for level, upper in bb.payoff_layers(gamble.payoff) if level > 0.0]
+    layer_gambles = []
+    prev = 0.0
+    for level, upper in layers:
+        layer_gambles.append((level - prev) * bb.indicator(space, upper))
+        prev = level
+    return tuple(layer_gambles)
 
 
 def duality_rhs_by_sell(pm, xs):

@@ -15,6 +15,7 @@ from beliefbet.previsions import _buy_blocks, _buy_each, _choquet_by_constructio
 from conftest import mass_functions, random_mass, random_model, space_of, tied_payoffs, wide_mass
 from oracles import (
     additivity_offenders_naive,
+    choquet_gap_layers_loop as layer_gambles,
     duality_rhs_by_sell,
     envelope_induced_naive,
     is_two_monotone,
@@ -42,6 +43,38 @@ def test_payoff_range_and_ledger_count_are_fixed(name):
     with pytest.raises(TypeError, match=name):
         bb.SamplePlan(**{name: getattr(bb.SamplePlan, name)})
     assert (bb.SamplePlan.payoff_range, bb.SamplePlan.num_ledgers) == ((-1.0, 1.0), 32)
+
+
+def bad_tol_calls():
+    """Each public function that takes ``tol``, called on valid arguments."""
+    sp = space_of(3)
+    env = bb.LowerEnvelopeModel(sp, np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.5, 0.2]]))
+    gap_env = bb.LowerEnvelopeModel(sp, np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    bel = bb.mass_to_belief(bb.MassFunction(sp, {0b001: 0.5, 0b110: 0.5}))
+    signed = bb.SetFunction(sp, np.array([0.0, 0.2, 0.2, 0.3, 0.2, 0.3, 0.3, 1.0]))
+    return {
+        "belief_to_mass": lambda tol: bb.belief_to_mass(bel, tol=tol),
+        "is_belief_function": lambda tol: bb.is_belief_function(signed, tol=tol),
+        "coherence_probe": lambda tol: bb.coherence_probe(env, tol=tol),
+        "probability_check": lambda tol: bb.probability_check(env, tol=tol),
+        "certificate_from_negative_mass": lambda tol: bb.certificate_from_negative_mass(signed, 3, tol=tol),
+        "certificate_from_choquet_gap": lambda tol: bb.certificate_from_choquet_gap(
+            gap_env, bb.Gamble(sp, np.array([1.0, 0.0, 0.5])), tol=tol
+        ),
+        "verify_certificate": lambda tol: bb.verify_certificate(
+            env, bb.belief_consistency_audit(env).certificate, tol=tol
+        ),
+        "belief_consistency_audit": lambda tol: bb.belief_consistency_audit(env, tol=tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("name", sorted(bad_tol_calls()))
+def test_tol_must_be_finite_and_nonnegative(name, tol):
+    call = bad_tol_calls()[name]
+    with pytest.raises(bb.BeliefBetError, match=r"tol must be a finite number >= 0, got "):
+        call(tol)
+    call(0.0)
 
 
 class MaxOracle:
@@ -620,6 +653,64 @@ class TestChoquetGapCertificate:
         assert all(x.payoff.min() >= 0.0 for x in cert.xs + cert.ys)
 
 
+def hex_rows(gambles):
+    return [[float(v).hex() for v in g.payoff] for g in gambles]
+
+
+class TestGapLayersAgainstLoop:
+    """The Choquet-gap certificate builds its layers as one width-times-flags
+    matrix; every layer must equal the per-layer loop's Gamble bit for bit.
+    Under a vacuous BumpModel a shifted gamble with two or more distinct
+    nonzero payoffs is overpriced and every layer is priced exactly, so the
+    certificate's xs is the shifted gamble and its ys the layers."""
+
+    def layers(self, payoff):
+        sp = space_of(len(payoff))
+        pm = BumpModel(bb.MassFunction(sp, {sp.full_mask: 1.0}))
+        cert = bb.certificate_from_choquet_gap(pm, bb.Gamble(sp, np.array(payoff)))
+        (shifted,) = cert.xs
+        assert hex_rows(cert.ys) == hex_rows(layer_gambles(shifted))
+        return cert.ys
+
+    def test_exact_ties(self):
+        assert len(self.layers([0.3, 0.3, 0.7, 0.1, 0.7])) == 2
+
+    def test_near_ties_merge(self):
+        # 0.5 and 0.5 + 4e-13 are one level, so three groups give two layers
+        assert len(self.layers([0.0, 0.5, 0.5 + 4e-13, 1.0])) == 2
+
+    def test_negative_payoffs(self):
+        assert len(self.layers([-0.7, 0.2, -0.7, -1.3, 0.4, -0.0])) == 4
+
+    def test_tied_rows(self):
+        rng = np.random.default_rng(65)
+        checked = 0
+        for row in tied_payoffs(rng, 200, 6):
+            shifted = row - row.min()
+            if len(set(shifted[shifted != 0.0].tolist())) >= 2:
+                self.layers(row.tolist())
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("payoff", [[0.4], [-1.5], [2.5, 2.5, 2.5]], ids=["n1", "n1-neg", "constant"])
+    def test_no_layers_no_gap(self, payoff):
+        sp = space_of(len(payoff))
+        g = bb.Gamble(sp, np.array(payoff))
+        assert layer_gambles(g - float(g.payoff.min())) == ()
+        pm = BumpModel(bb.MassFunction(sp, {sp.full_mask: 1.0}))
+        with pytest.raises(bb.NoGapError):
+            bb.certificate_from_choquet_gap(pm, g, tol=0.0)
+
+    def test_envelope_audit_choquet_price(self):
+        sp = space_of(3)
+        pm = bb.LowerEnvelopeModel(sp, np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+        report = bb.belief_consistency_audit(pm)
+        cert = report.certificate
+        assert cert.kind == "choquet_gap"
+        want = bb.choquet_expectation(report.induced_mass, cert.witness.gamble)
+        assert cert.witness.choquet_price.hex() == want.hex()
+
+
 class TestVerifyCertificate:
     def test_equal_sides_fail(self, two_row_model):
         sp = two_row_model.space
@@ -718,15 +809,6 @@ def dominated_naive(cert, exact_tol=bb.EXACT_TOL):
         math.fsum(t[mask] for t in xs) <= math.fsum(t[mask] for t in ys) + exact_tol
         for mask in range(1, cert.space.size)
     )
-
-
-def layer_gambles(g):
-    layers, prev = [], 0.0
-    for level, upper in bb.payoff_layers(g.payoff):
-        if level > 0:
-            layers.append((level - prev) * bb.indicator(g.space, upper))
-            prev = level
-    return tuple(layers)
 
 
 def side_certificate(sp, xs, ys):
