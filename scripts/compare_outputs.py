@@ -13,25 +13,30 @@ on it, and a wide Choquet model has 150-600 focal sets, so the Choquet
 pricer crosses several blocks of focal sets; 23 is prime to 5 and 6, so the
 wide documents take every kind, with and without escaped labels. These
 choices follow the document index and change no draw of any other
-document. Every model document is
-audited in human and machine format, with default flags and with
-``--seed 7 --samples 64 --tol 1e-7``, and it prices a seeded gamble document
-(``price``) and scores a seeded, nonempty ledger document (``dutchbook``) in
-both formats; those two documents come from a stream of their own, so they
-change no draw of the model documents. Every document goes through
-``transform --to mass`` in both formats at ``--tol`` 1e-9 and 1e-12, and
-every Choquet document through ``transform --to belief`` in both formats. So
-a Choquet document gives 14 runs, any other model document 12 and a belief
-table 4: 3,878 at the default 400 documents and 116 at 12. The
-``--seed 7`` audits and the ``--tol 1e-12`` transforms write through
-``--out``, each runner to its own file; for them the file's text is the
-output, and their stdout, which must stay empty, is compared as well.
+document. Below ``--docs 184`` document 183, a wide near-copy envelope, is
+run as well: it is the first to reach both the full-family negative-mass
+certificate and the interference search of the probability verdict.
+
+Every model document is audited in human and machine format, with default
+flags, with ``--seed 7 --samples 64 --tol 1e-7`` and with ``--tol 0``, and it
+prices a seeded gamble document (``price``) and scores a seeded, nonempty
+ledger document (``dutchbook``) in both formats; those two documents come
+from a stream of their own, so they change no draw of the model documents.
+Every document goes through ``transform --to mass`` in both formats at
+``--tol`` 1e-9, 1e-12 and 0, and every Choquet document through ``transform
+--to belief`` in both formats. So a Choquet document gives 18 runs, any
+other model document 16 and a belief table 6: 5,214 at the default 400
+documents and 172 at 12 (13 documents with document 183). The ``--seed 7``
+audits and the ``--tol 1e-12`` transforms write through ``--out``, each
+runner to its own file; for them the file's text is the output, and their
+stdout, which must stay empty, is compared as well.
 
 The runs execute once against this checkout's ``src`` and once against the
 base checkout's, each checkout in one subprocess. A run's exit code, its
 output without the timestamp line, and its stderr must all match. The script
 prints each differing run with the first line where the base and this
-checkout part, then how many outputs it compared and how many differ, and
+checkout part, then this checkout's exit codes of the ``--tol 0`` runs per
+document kind, then how many outputs it compared and how many differ, and
 exits 1 when any differ.
 """
 
@@ -44,6 +49,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +62,14 @@ KINDS = ("linear", "choquet", "envelope", "near_copy", "noisy_belief", "signed_b
 ESCAPED_STEMS = ('a"b', "back\\slash", "tab\there", "é", "Ω", " lead")
 ESCAPED_EVERY = 5
 WIDE_EVERY = 23
+#: Run below ``--docs 184``: the first document to reach both rare audit branches.
+RARE_BRANCHES = 183
 
 #: Stands for the runner's own output file in a job's argument vector.
 OUT = "<out>"
-AUDIT_FLAGS = ([], ["--seed", "7", "--samples", "64", "--tol", "1e-7", "--out", OUT])
-TRANSFORM_FLAGS = (["--tol", "1e-9"], ["--tol", "1e-12", "--out", OUT])
+ZERO_TOL = ["--tol", "0"]
+AUDIT_FLAGS = ([], ["--seed", "7", "--samples", "64", "--tol", "1e-7", "--out", OUT], ZERO_TOL)
+TRANSFORM_FLAGS = (["--tol", "1e-9"], ["--tol", "1e-12", "--out", OUT], ZERO_TOL)
 FORMATS = ("human", "machine")
 
 # Runs a list of argument vectors through one checkout's cli.main in a single
@@ -274,15 +283,18 @@ def main(argv: list[str] | None = None) -> int:
     if not (base_src / "beliefbet" / "cli.py").is_file():
         parser.error(f"{args.base} has no src/beliefbet/cli.py")
 
+    indices = list(range(args.docs)) + ([RARE_BRANCHES] if args.docs <= RARE_BRANCHES else [])
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        jobs = []
-        for index in range(args.docs):
+        jobs, kinds = [], []
+        for index in indices:
             doc = make_document(CORPUS_SEED, index)
             paths = [work / f"{stem}{index:04d}.json" for stem in ("doc", "gambles", "ledger")]
             for path, written in zip(paths, (doc, *make_bets(CORPUS_SEED, index, doc["space"]))):
                 path.write_text(json.dumps(written))
-            jobs.extend(jobs_for(doc, *map(str, paths)))
+            doc_jobs = jobs_for(doc, *map(str, paths))
+            jobs.extend(doc_jobs)
+            kinds.extend([KINDS[index % len(KINDS)]] * len(doc_jobs))
         digests = _run_both(work, jobs, base_src, "digest")
         if digests is None:
             return 2
@@ -301,7 +313,15 @@ def main(argv: list[str] | None = None) -> int:
                 (f"exit {b[0]}", f"exit {h[0]}") if k == 0 else first_difference(b[k], h[k])
             )
             print(f"  base:   {base_line}\n  change: {head_line}")
-    print(f"compared {len(jobs)} outputs over {args.docs} documents: {len(differ)} differ")
+    tally: dict[str, Counter] = {kind: Counter() for kind in KINDS}
+    for argv, kind, (code, *_) in zip(jobs, kinds, digests[0]):
+        if argv[-2:] == ZERO_TOL:
+            tally[kind][code if isinstance(code, int) else "raised"] += 1
+    for kind, codes in tally.items():
+        if codes:
+            counts = ", ".join(f"{code} x{count}" for code, count in sorted(codes.items(), key=str))
+            print(f"tol 0, {kind}: exit {counts}")
+    print(f"compared {len(jobs)} outputs over {len(indices)} documents: {len(differ)} differ")
     return 1 if differ else 0
 
 

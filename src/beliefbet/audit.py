@@ -56,16 +56,15 @@ from .setfn import (
     NegativeMassReport,
     OutcomeSpace,
     SetFunction,
+    _MobiusReading,
     _butterfly,
     _check_tol,
-    _classify_mobius,
     _deletion_family,
     _doubled,
     _fewest_outcomes,
     _member_flags,
     _subfamily_intersections,
     belief_to_mass,
-    mobius_transform,
 )
 
 _PROBE_STREAM = 0
@@ -248,15 +247,13 @@ class ProbabilityCheck:
         return self.is_probability
 
 
-def _probability_verdict(
-    space: OutcomeSpace, values: np.ndarray, mob: np.ndarray, tol: float
-) -> ProbabilityCheck:
-    _check_tol(tol)
+def _probability_verdict(reading: _MobiusReading) -> ProbabilityCheck:
+    space, values, tol = reading.f.space, reading.f.values, reading.tol
     # star is the lowest mask among those with the fewest outcomes, two or
     # more, and |weight| > tol. A bool and a uint8 table pick it, so the
     # transient stays near 2 bytes per subset.
-    heavy = mob > tol
-    heavy |= mob < -tol
+    heavy = reading.mob > tol
+    heavy[reading.negative] = True
     heavy[0] = heavy[1 << np.arange(space.n)] = False
     if not heavy.any():
         return ProbabilityCheck(True)
@@ -297,9 +294,7 @@ def probability_check(pm: PriceModel, *, tol: float = DEFAULT_TOL) -> Probabilit
     singletons; on failure the witness is a disjoint pair whose union is
     priced away from the sum of its parts.
     """
-    induced = induced_set_function(pm)
-    mob = mobius_transform(induced.values)
-    return _probability_verdict(pm.space, induced.values, mob, tol)
+    return _probability_verdict(_MobiusReading(induced_set_function(pm), tol))
 
 
 @dataclass(frozen=True)
@@ -563,15 +558,15 @@ def belief_consistency_audit(
     space = pm.space
     probe_report = coherence_probe(pm, plan, tol=tol)
     induced = induced_set_function(pm)
-    mob = mobius_transform(induced.values)
-    inverted = _classify_mobius(induced, mob, tol)
-    prob = _probability_verdict(space, induced.values, mob, tol)
+    reading = _MobiusReading(induced, tol)
+    inverted = reading.mass()
+    prob = _probability_verdict(reading)
     sure_worst = _sampled_sure_loss(pm, plan)
 
     certificate: ViolationCertificate | None = None
     consistent = True
     if isinstance(inverted, NegativeMassReport):
-        candidates = inverted.masks[np.bitwise_count(inverted.masks) >= 2]
+        candidates = reading.negative[np.bitwise_count(reading.negative) >= 2]
         if not candidates.size:
             raise BeliefBetError(
                 "only singleton weights are negative; the model is outside the coherent family"

@@ -55,10 +55,9 @@ from .setfn import (
     MassFunction,
     OutcomeSpace,
     SetFunction,
-    _classify_mobius,
+    _MobiusReading,
     make_space,
     mass_to_belief,
-    mobius_transform,
 )
 
 _MODEL_KINDS = tuple(model.kind for model in (LinearModel, ChoquetModel, LowerEnvelopeModel))
@@ -417,14 +416,14 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         raise SchemaError(
             f"direction 'mass' needs a belief table or model document, got kind {kind!r}"
         )
-    mob = mobius_transform(table.values)
-    result = _classify_mobius(table, mob, args.tol)
+    reading = _MobiusReading(table, args.tol)
+    result = reading.mass()
     if isinstance(result, MassFunction):
         if args.format == "machine":
             return 0, _machine({"space": list(space.labels), "kind": "mass", "mass": _mass_listing(result)})
         return 0, _human(_listing_lines(_mass_listing(result)))
-    visible = np.flatnonzero(np.abs(mob) > EXACT_TOL)
-    mobius = _Listing(space, visible, mob[visible])
+    visible = np.flatnonzero(np.abs(reading.mob) > EXACT_TOL)
+    mobius = _Listing(space, visible, reading.mob[visible])
     if args.format == "machine":
         return 0, _machine({
             "space": list(space.labels),
@@ -433,7 +432,7 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
             "negative": _Listing(space, result.masks, result.weights),
         })
     lines = _listing_lines(mobius)
-    for i in np.flatnonzero(mobius.values < -args.tol).tolist():
+    for i in np.flatnonzero(np.isin(visible, result.masks)).tolist():
         lines[i] += "  NEGATIVE"
     lines.append(f"{result.masks.size} subset(s) carry negative weight; not a belief function")
     return 0, _human(lines)

@@ -22,6 +22,9 @@ a small scratch table, where stage b sweeps runs of 16 x 2^b entries. A low
 stage only combines entries inside one row, so every entry still sees the
 same operations in the same order and the result is the same bit for bit.
 
+A verdict on a table (belief function or not, its mass, probability or not)
+reads one :class:`_MobiusReading` of it, which alone inverts and scans the table.
+
 Every value here is immutable after construction and every operation is a
 pure function of its inputs, so concurrent use needs no locking.
 """
@@ -369,6 +372,31 @@ def mass_to_belief(m: MassFunction) -> BeliefFunction:
     return BeliefFunction(m.space, zeta_transform(m.as_dense()))
 
 
+class _MobiusReading:
+    """The one reading of a table ``f`` at one ``tol`` that every verdict on it
+    takes: ``mob``, its frozen Moebius transform, and ``negative``, the
+    ascending masks whose weight is below -tol. It holds no 2^n bool table."""
+
+    def __init__(self, f: _TableLike, tol: float) -> None:
+        _check_tol(tol)
+        self.f, self.tol, self.mob = f, tol, _frozen(mobius_transform(f.values))
+        self.negative = np.flatnonzero(self.mob < -tol)
+
+    def mass(self) -> MassFunction | NegativeMassReport:
+        """:func:`belief_to_mass` of the table."""
+        _check_endpoints(self.f.values)
+        if self.negative.size:
+            return NegativeMassReport(self.f.space, self.negative, self.mob[self.negative])
+        masks = np.flatnonzero(self.mob[1:] > 0.0) + 1
+        vals = self.mob[masks]
+        total = math.fsum(vals.tolist())
+        if abs(total - 1.0) > self.tol:
+            raise BeliefBetError(f"recovered weights sum to {total!r}, too far from 1")
+        if total != 1.0:
+            vals = vals / total
+        return MassFunction(self.f.space, dict(zip(masks.tolist(), vals.tolist())))
+
+
 def belief_to_mass(
     f: _TableLike, *, tol: float = DEFAULT_TOL
 ) -> MassFunction | NegativeMassReport:
@@ -378,27 +406,7 @@ def belief_to_mass(
     and the weights renormalized; anything below -tol is reported as a
     genuine violation, one entry per offending subset.
     """
-    return _classify_mobius(f, mobius_transform(f.values), tol)
-
-
-def _classify_mobius(
-    f: _TableLike, mob: np.ndarray, tol: float
-) -> MassFunction | NegativeMassReport:
-    """The classification half of :func:`belief_to_mass`, for callers that
-    already hold ``mob``, the Moebius transform of ``f.values``; it is only read."""
-    _check_tol(tol)
-    _check_endpoints(f.values)
-    bad = np.flatnonzero(mob < -tol)
-    if bad.size:
-        return NegativeMassReport(f.space, bad, mob[bad])
-    masks = np.flatnonzero(mob[1:] > 0.0) + 1
-    vals = mob[masks]
-    total = math.fsum(vals.tolist())
-    if abs(total - 1.0) > tol:
-        raise BeliefBetError(f"recovered weights sum to {total!r}, too far from 1")
-    if total != 1.0:
-        vals = vals / total
-    return MassFunction(f.space, dict(zip(masks.tolist(), vals.tolist())))
+    return _MobiusReading(f, tol).mass()
 
 
 def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefCheck:
@@ -409,23 +417,21 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     and, when it has at least two outcomes, the family of its one-element
     deletions, whose inclusion-exclusion slack equals the negative weight.
     """
-    _check_tol(tol)
+    reading = _MobiusReading(f, tol)
     values = f.values
     if abs(values[0]) > EXACT_TOL:
         return BeliefCheck(False, reason=f"empty set must map to 0, got {float(values[0])!r}")
     if abs(values[-1] - 1.0) > EXACT_TOL:
         return BeliefCheck(False, reason=f"full set must map to 1, got {float(values[-1])!r}")
-    mob = mobius_transform(values)
-    bad = np.flatnonzero(mob < -tol)
-    if not bad.size:
+    if not reading.negative.size:
         return BeliefCheck(True)
-    subset = _fewest_outcomes(bad)
+    subset = _fewest_outcomes(reading.negative)
     family = tuple(_deletion_family(subset, f.space.n).tolist()) if subset.bit_count() >= 2 else ()
     return BeliefCheck(
         False,
-        reason=f"subset {subset} carries weight {float(mob[subset])!r}",
+        reason=f"subset {subset} carries weight {float(reading.mob[subset])!r}",
         negative_subset=subset,
-        negative_mass=float(mob[subset]),
+        negative_mass=float(reading.mob[subset]),
         family=family,
     )
 

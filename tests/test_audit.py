@@ -480,12 +480,12 @@ class TestPrimaryWitness:
         rows = rng.uniform(0.05, 1.0, size=(4, n))
         space = bb.make_space([f"w{i}" for i in range(n)])
         pm = bb.LowerEnvelopeModel(space, rows / rows.sum(axis=1, keepdims=True))
-        values = bb.induced_set_function(pm).values
-        mob = bb.mobius_transform(values)
+        reading = beliefbet.setfn._MobiusReading(bb.induced_set_function(pm), 1e-9)
+        mob = reading.mob
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            check = beliefbet.audit._probability_verdict(pm.space, values, mob, 1e-9)
+            check = beliefbet.audit._probability_verdict(reading)
             transient = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()

@@ -260,8 +260,9 @@ class TestRecoveredMassArrays:
     def recover(self, values, tol=bb.DEFAULT_TOL):
         space = bb.make_space([f"o{i}" for i in range(len(values).bit_length() - 1)])
         f = bb.SetFunction(space, values)
-        mob = bb.mobius_transform(f.values)
-        got = beliefbet.setfn._classify_mobius(f, mob, tol)
+        reading = beliefbet.setfn._MobiusReading(f, tol)
+        mob = reading.mob
+        got = reading.mass()
         want = recovered_weights_by_dict(mob)
         assert list(got.weights) == list(want)
         assert [w.hex() for w in got.weights.values()] == [w.hex() for w in want.values()]
