@@ -13,9 +13,12 @@ on it, and a wide Choquet model has 150-600 focal sets, so the Choquet
 pricer crosses several blocks of focal sets; 23 is prime to 5 and 6, so the
 wide documents take every kind, with and without escaped labels. These
 choices follow the document index and change no draw of any other
-document. Below ``--docs 184`` document 183, a wide near-copy envelope, is
-run as well: it is the first to reach both the full-family negative-mass
-certificate and the interference search of the probability verdict.
+document. Two documents past the count are run as well: below ``--docs 184``
+document 183, a wide near-copy envelope, the first whose negative-mass
+certificate takes a deletion family of more than two sets (1,024 gambles),
+and below ``--docs 466`` document 465, a near-copy envelope on 10 outcomes,
+the first whose default audit reports the witness of the probability
+verdict's interference search; its certificate takes 16 gambles.
 
 Every model document is audited in human and machine format, with default
 flags, with ``--seed 7 --samples 64 --tol 1e-7`` and with ``--tol 0``, and it
@@ -25,11 +28,11 @@ from a stream of their own, so they change no draw of the model documents.
 Every document goes through ``transform --to mass`` in both formats at
 ``--tol`` 1e-9, 1e-12 and 0, and every Choquet document through ``transform
 --to belief`` in both formats. So a Choquet document gives 18 runs, any
-other model document 16 and a belief table 6: 5,214 at the default 400
-documents and 172 at 12 (13 documents with document 183). The ``--seed 7``
-audits and the ``--tol 1e-12`` transforms write through ``--out``, each
-runner to its own file; for them the file's text is the output, and their
-stdout, which must stay empty, is compared as well.
+other model document 16 and a belief table 6: 5,230 at the default ``--docs
+400`` (401 documents, with 465) and 188 at ``--docs 12`` (14 documents, with
+183 and 465). The ``--seed 7`` audits and the ``--tol 1e-12`` transforms write
+through ``--out``, each runner to its own file; for them the file's text is
+the output, and their stdout, which must stay empty, is compared as well.
 
 The runs execute once against this checkout's ``src`` and once against the
 base checkout's, each checkout in one subprocess. A run's exit code, its
@@ -62,8 +65,9 @@ KINDS = ("linear", "choquet", "envelope", "near_copy", "noisy_belief", "signed_b
 ESCAPED_STEMS = ('a"b', "back\\slash", "tab\there", "é", "Ω", " lead")
 ESCAPED_EVERY = 5
 WIDE_EVERY = 23
-#: Run below ``--docs 184``: the first document to reach both rare audit branches.
-RARE_BRANCHES = 183
+#: Each is run below ``--docs`` one past it: the first documents to reach the
+#: rare audit branches (a large deletion family; the interference witness).
+RARE_BRANCHES = (183, 465)
 
 #: Stands for the runner's own output file in a job's argument vector.
 OUT = "<out>"
@@ -283,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     if not (base_src / "beliefbet" / "cli.py").is_file():
         parser.error(f"{args.base} has no src/beliefbet/cli.py")
 
-    indices = list(range(args.docs)) + ([RARE_BRANCHES] if args.docs <= RARE_BRANCHES else [])
+    indices = list(range(args.docs)) + [i for i in RARE_BRANCHES if i >= args.docs]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         jobs, kinds = [], []

@@ -344,17 +344,20 @@ def _gambles(space: OutcomeSpace, payoffs: np.ndarray) -> tuple[Gamble, ...]:
 def certificate_from_negative_mass(
     f: SetFunction, subset: int, *, tol: float = DEFAULT_TOL
 ) -> ViolationCertificate:
-    """Build a certificate from a subset with negative inverted weight.
+    """Build a least-order certificate from a subset S with negative inverted weight.
 
-    The generating family removes one outcome of ``subset`` at a time; its
-    inclusion-exclusion slack equals the negative weight. ``ys`` holds the
-    union and the even-order intersections, ``xs`` the odd-order ones.
-    When some two family members already violate the pair inequality, that
-    minimal two-set instance is emitted instead.
+    For B inside S with at least two outcomes, the family of deletions
+    {S - {i} : i in B} has inclusion-exclusion slack Q_S(B), the summed weight
+    of the sets between B and S; at B = S that is the negative weight. The
+    certificate takes the least |B| with Q_S(B) below -tol, then the most
+    negative slack, then the highest B, so it has 2^|B| gambles. ``ys`` holds
+    S and the even-order intersections of the family, ``xs`` the odd-order
+    ones. A pair's slack is read from the values, f(S) + f(S - B) - f(S - {hi})
+    - f(S - {lo}), and is its buy gap; S itself always qualifies.
     """
     _check_tol(tol)
     space = f.space
-    space.check_mask(subset)
+    subset = space.check_mask(subset)
     if subset.bit_count() < 2:
         raise SingletonCoreError(
             f"subset {subset} has fewer than two outcomes; no family can witness it"
@@ -364,25 +367,28 @@ def certificate_from_negative_mass(
     singles = 1 << np.flatnonzero(_member_flags(subset, space.n))
     inside = _doubled(0, singles, np.bitwise_or, np.int64)  # the sublattice
     values = f.values
-    mass_value = float(_butterfly(values[inside], np.subtract)[-1])
+    mob = _butterfly(values[inside], np.subtract)
+    mass_value = float(mob[-1])
     if mass_value >= -tol:
         raise NotNegativeError(
             f"inverted weight at subset {subset} is {mass_value!r}, not below {-tol}"
         )
-    family = _deletion_family(subset, space.n)
-    # every pair of family members in lexicographic order; argmin keeps the first minimum
-    i, j = np.triu_indices(family.shape[0], 1)
-    a, b = family[i], family[j]
-    pair_slack = values[subset] + values[a & b] - values[a] - values[b]
-    best = int(np.argmin(pair_slack))
-    if pair_slack[best] < -tol:
-        xs_masks = np.array([a[best], b[best]])
-        ys_masks = np.array([subset, a[best] & b[best]])
-        gap = -float(pair_slack[best])
+    slack = _butterfly(mob[::-1], np.add)[::-1]  # slack[J] = Q_S(inside[J])
+    order = _doubled(0, [1] * singles.size, np.add, np.uint8)
+    top, pairs = inside.shape[0] - 1, np.flatnonzero(order == 2)
+    lo = pairs & -pairs
+    slack[pairs] = (values[subset] + values[inside[top ^ pairs]]
+                    - values[inside[top ^ pairs ^ lo]] - values[inside[top ^ lo]])
+    np.copyto(order, np.iinfo(np.uint8).max, where=(order < 2) | (slack >= -tol))
+    order[top] = singles.size  # S always qualifies: its weight is below -tol
+    picks = np.flatnonzero(order == order.min())[::-1]  # highest B first
+    pick = int(picks[np.argmin(slack[picks])])
+    inter, odd = _subfamily_intersections(space.full_mask, _deletion_family(subset, inside[pick], space.n))
+    xs_masks = inter[odd]
+    ys_masks = np.concatenate(([subset], inter[~odd]))  # the union of the family first
+    if order[pick] == 2 and slack[pick] < -tol:
+        gap = -float(slack[pick])
     else:
-        inter, odd = _subfamily_intersections(space.full_mask, family)
-        xs_masks = inter[odd]
-        ys_masks = np.concatenate(([subset], inter[~odd]))  # the union of the family first
         gap = math.fsum(values[xs_masks].tolist()) - math.fsum(values[ys_masks].tolist())
     return ViolationCertificate(
         space=space,

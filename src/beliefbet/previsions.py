@@ -90,8 +90,7 @@ class Gamble:
 
 def indicator(space: OutcomeSpace, mask: int) -> Gamble:
     """The gamble paying 1 on the outcomes of ``mask`` and 0 elsewhere."""
-    space.check_mask(mask)
-    return Gamble(space, _member_flags(mask, space.n).astype(float))
+    return Gamble(space, _member_flags(space.check_mask(mask), space.n).astype(float))
 
 
 def constant_gamble(space: OutcomeSpace, value: float) -> Gamble:
@@ -371,13 +370,12 @@ class BeliefValuation:
     core: int
 
     def __post_init__(self) -> None:
-        self.space.check_mask(self.core)
+        object.__setattr__(self, "core", self.space.check_mask(self.core))
         if self.core == 0:
             raise BeliefBetError("the core of a belief valuation cannot be empty")
 
     def holds(self, mask: int) -> bool:
-        self.space.check_mask(mask)
-        return self.core & ~mask == 0
+        return self.core & ~self.space.check_mask(mask) == 0
 
 
 @dataclass(frozen=True, eq=False)

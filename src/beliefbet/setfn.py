@@ -116,10 +116,15 @@ class OutcomeSpace:
 
     def members(self, mask: int) -> tuple[str, ...]:
         """Labels of the outcomes in ``mask``, in canonical order."""
-        self.check_mask(mask)
+        mask = self.check_mask(mask)
         return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
     def check_mask(self, mask: int) -> int:
+        """``mask`` as a Python int, if it is an integer (not a bool) naming a subset."""
+        if type(mask) is not int:
+            if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)):
+                raise BeliefBetError(f"mask must be an integer, got {mask!r}")
+            mask = int(mask)
         if not 0 <= mask < self.size:
             raise BeliefBetError(f"mask {mask} out of range for a {self.n}-outcome space")
         return mask
@@ -200,9 +205,9 @@ def _member_flags(masks: int | np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(raw, axis=-1, count=n, bitorder="little").view(bool)
 
 
-def _deletion_family(subset: int, n: int) -> np.ndarray:
-    """The one-element deletions of ``subset``, in ascending mask order."""
-    return np.sort(subset ^ 1 << np.flatnonzero(_member_flags(subset, n)))
+def _deletion_family(subset: int, deleted: int, n: int) -> np.ndarray:
+    """``subset`` less one outcome of ``deleted`` each, in ascending mask order."""
+    return np.sort(subset ^ 1 << np.flatnonzero(_member_flags(deleted, n)))
 
 
 def _subfamily_intersections(top: int, masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -274,9 +279,9 @@ class MassFunction:
 
     def __post_init__(self) -> None:
         clean: dict[int, float] = {}
-        for mask in sorted(self.weights):
-            self.space.check_mask(mask)
-            w = float(self.weights[mask])
+        for key in sorted(self.weights):
+            mask = self.space.check_mask(key)
+            w = float(self.weights[key])
             if mask == 0:
                 raise BeliefBetError("the empty set cannot carry mass")
             if not w > 0.0:
@@ -426,7 +431,7 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     if not reading.negative.size:
         return BeliefCheck(True)
     subset = _fewest_outcomes(reading.negative)
-    family = tuple(_deletion_family(subset, f.space.n).tolist()) if subset.bit_count() >= 2 else ()
+    family = tuple(_deletion_family(subset, subset, f.space.n).tolist()) if subset.bit_count() >= 2 else ()
     return BeliefCheck(
         False,
         reason=f"subset {subset} carries weight {float(reading.mob[subset])!r}",
@@ -443,7 +448,7 @@ def inclusion_exclusion_slack(f: _TableLike, family: Sequence[int]) -> float:
     subfamily I, of (-1)^(|I|+1) f(intersection over I). Belief functions
     keep this nonnegative for every family; probabilities make it zero.
     """
-    masks = [f.space.check_mask(int(a)) for a in family]
+    masks = [f.space.check_mask(a) for a in family]
     if len(masks) < 1:
         raise BeliefBetError("the family must contain at least one subset")
     if len(masks) > MAX_FAMILY_SIZE:
@@ -458,5 +463,4 @@ def inclusion_exclusion_slack(f: _TableLike, family: Sequence[int]) -> float:
 
 def plausibility(bel: BeliefFunction, mask: int) -> float:
     """Conjugate value 1 - Bel(complement): the selling-price side of belief."""
-    bel.space.check_mask(mask)
-    return 1.0 - float(bel.values[bel.space.full_mask ^ mask])
+    return 1.0 - float(bel.values[bel.space.full_mask ^ bel.space.check_mask(mask)])

@@ -14,7 +14,10 @@ over, which must equal them bit for bit: additive_values_loop,
 subfamily_intersections_loop, sublattice_loop, popcounts_loop, and
 payoff_layers_two_pass for the grouping of payoff levels. choquet_gap_layers_loop
 keeps the Choquet-gap certificate's layers built one Gamble at a time, which
-its one-matrix build must equal bit for bit."""
+its one-matrix build must equal bit for bit. For the negative-mass
+certificate, least_order_naive tries every deletion family of the witness,
+and pair_certificate_triu keeps the pair scan over ``np.triu_indices`` that
+every pair certificate must equal bit for bit."""
 
 import math
 from itertools import combinations
@@ -219,6 +222,34 @@ def inclusion_exclusion_slack_naive(values, family):
                 inter &= a
             total.append(-((-1) ** (r + 1)) * values[inter])
     return math.fsum(total)
+
+
+def least_order_naive(values, subset, tol):
+    """The least |B|, over every B inside ``subset`` with two or more outcomes,
+    whose deletion family {subset - {i} : i in B} has inclusion-exclusion slack
+    below -tol; |subset| when there is none."""
+    orders = [
+        b.bit_count()
+        for b in range(1, subset + 1)
+        if b & subset == b and b.bit_count() >= 2
+        and inclusion_exclusion_slack_naive(values, [subset ^ 1 << i for i in bits(b)]) < -tol
+    ]
+    return min(orders, default=subset.bit_count())
+
+
+def pair_certificate_triu(values, subset, tol):
+    """The pair scan of the negative-mass certificate: every pair of the
+    ascending deletion family of ``subset`` in ``np.triu_indices`` order, the
+    first minimum of f(S) + f(a & b) - f(a) - f(b) kept. Returns its (xs masks,
+    ys masks, buy gap), or None when that slack is not below -tol."""
+    family = np.sort(np.array([subset ^ 1 << i for i in bits(subset)]))
+    i, j = np.triu_indices(family.shape[0], 1)
+    a, b = family[i], family[j]
+    slack = values[subset] + values[a & b] - values[a] - values[b]
+    best = int(np.argmin(slack))
+    if not slack[best] < -tol:
+        return None
+    return [int(a[best]), int(b[best])], [subset, int(a[best] & b[best])], -float(slack[best])
 
 
 def envelope_induced_naive(rows, n):

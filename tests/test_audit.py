@@ -19,7 +19,10 @@ from oracles import (
     duality_rhs_by_sell,
     envelope_induced_naive,
     is_two_monotone,
+    least_order_naive,
     mobius_naive,
+    pair_certificate_triu,
+    subfamily_intersections_loop,
     subset_minima_naive,
     sure_loss_per_ledger,
 )
@@ -578,6 +581,66 @@ class TestNegativeMassCertificate:
         assert cert.buy_gap == pytest.approx(0.35, abs=1e-15)
 
 
+def indicator_masks(side):
+    return [int(np.dot(g.payoff > 0.5, 1 << np.arange(g.space.n))) for g in side]
+
+
+def graded_signed_table(rng):
+    """Bel of a signed mass on 3 to 6 outcomes: heavy positive weights below a
+    drawn order r, signed ones from r up, so least orders 2 to n all occur."""
+    n = int(rng.integers(3, 7))
+    r = int(rng.integers(2, n + 1))
+    pop = np.bitwise_count(np.arange(1 << n))
+    w = np.where(pop < r, rng.uniform(1.0, 2.0, 1 << n) * 2.0 ** (n - pop),
+                 rng.uniform(-1.0, 0.3, 1 << n))
+    w[0] = 0.0
+    return bb.SetFunction(space_of(n), bb.zeta_transform(w / math.fsum(w.tolist())))
+
+
+class TestLeastOrderCertificate:
+    def test_least_order_matches_brute_force(self):
+        rng = np.random.default_rng(81)
+        seen = set()
+        for _ in range(120):
+            f = graded_signed_table(rng)
+            mob = bb.mobius_transform(f.values)
+            for subset in np.flatnonzero(mob < -bb.DEFAULT_TOL):
+                subset = int(subset)
+                if subset.bit_count() < 2:
+                    continue
+                cert = bb.certificate_from_negative_mass(f, subset)
+                order = (len(cert.xs) + len(cert.ys)).bit_length() - 1
+                assert len(cert.xs) + len(cert.ys) == 1 << order
+                assert order == least_order_naive(f.values.tolist(), subset, bb.DEFAULT_TOL)
+                assert bb.verify_certificate(IndicatorTableModel(f), cert)
+                seen.add((subset.bit_count(), order))
+        assert {(k, r) for k in range(2, 7) for r in range(2, k + 1)} <= seen
+
+    @pytest.mark.parametrize("tol", [bb.DEFAULT_TOL, 0.0])
+    def test_pair_certificates_keep_the_pair_scan(self, tol):
+        rng = np.random.default_rng(82)
+        pairs = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            mob = np.zeros(1 << n)
+            masks = 1 + rng.choice((1 << n) - 1, size=min(12, (1 << n) - 1), replace=False)
+            raw = rng.uniform(0.05, 1.0, masks.size)
+            raw[rng.random(masks.size) < 0.3] *= -0.4
+            mob[masks] = raw / math.fsum(raw.tolist())
+            f = bb.SetFunction(space_of(n), bb.zeta_transform(mob))
+            for subset in np.flatnonzero(bb.mobius_transform(f.values) < -tol):
+                subset = int(subset)
+                route = pair_certificate_triu(f.values, subset, tol) if subset.bit_count() >= 2 else None
+                if route is None:
+                    continue
+                cert = bb.certificate_from_negative_mass(f, subset, tol=tol)
+                xs, ys, gap = route
+                assert (indicator_masks(cert.xs), indicator_masks(cert.ys)) == (xs, ys)
+                assert np.float64(cert.buy_gap).view(np.int64) == np.float64(gap).view(np.int64)
+                pairs += 1
+        assert pairs >= 100
+
+
 class TestChoquetGapCertificate:
     def test_choquet_model_has_no_gap(self):
         rng = np.random.default_rng(3)
@@ -892,8 +955,8 @@ class TestVerifierAgainstOracle:
             assert not self.check(side_certificate(sp, [lifted], layer_gambles(g)))
 
     def test_full_deletion_family_at_fourteen_outcomes(self):
-        # pair masses +eps and the full set -eps: every pair slack is zero, so
-        # the certificate is the whole deletion family, 2^14 indicators
+        # pair masses +eps and the full set -eps: every pair slack is zero and
+        # every three-outcome slack is -eps, so the builder takes order 3
         n, eps = 14, 1e-6
         sp = bb.make_space([f"o{i}" for i in range(n)])
         i, j = np.triu_indices(n, 1)
@@ -902,10 +965,21 @@ class TestVerifierAgainstOracle:
         mob[sp.full_mask] = -eps
         mob[1 << np.arange(n)] = (1.0 - eps * (i.size - 1)) / n
         f = bb.SetFunction(sp, bb.zeta_transform(mob))
+        model = IndicatorTableModel(f)
         cert = bb.certificate_from_negative_mass(f, sp.full_mask)
-        assert len(cert.xs) + len(cert.ys) == 1 << n
+        assert len(cert.xs) + len(cert.ys) == 8
+        assert bb.verify_certificate(model, cert)
+        # the whole deletion family, 2^14 indicators, built here
+        family = sorted(sp.full_mask ^ (1 << k) for k in range(n))
+        inter, odd = subfamily_intersections_loop(sp.full_mask, family)
+        xs = [bb.indicator(sp, int(m)) for m in inter[odd]]
+        ys = [bb.indicator(sp, int(m)) for m in [sp.full_mask, *inter[~odd]]]
+        full = bb.ViolationCertificate(
+            space=sp, xs=tuple(xs), ys=tuple(ys), buy_gap=eps, witness=cert.witness
+        )
+        assert len(full.xs) + len(full.ys) == 1 << n
         start = time.perf_counter()
-        assert bb.verify_certificate(IndicatorTableModel(f), cert)
+        assert bb.verify_certificate(model, full)
         assert time.perf_counter() - start < 0.5
 
 

@@ -60,6 +60,43 @@ class TestMakeSpace:
             sp.mask_of(["z"])
 
 
+def mask_calls():
+    """Each public entry point that reads a subset mask, called on ``m``; the
+    repr of what it returns or keeps shows any numpy integer left in it."""
+    sp = space_of(3)
+    bel = bb.mass_to_belief(bb.MassFunction(sp, {0b001: 0.5, 0b110: 0.5}))
+    signed = bb.SetFunction(sp, np.array([0.0, 0.2, 0.2, 0.3, 0.2, 0.3, 0.3, 1.0]))
+    return {
+        "members": lambda m: repr(sp.members(m)),
+        "MassFunction": lambda m: repr(dict(bb.MassFunction(sp, {m: 1.0}).weights)),
+        "indicator": lambda m: repr(bb.indicator(sp, m).payoff.tolist()),
+        "inclusion_exclusion_slack": lambda m: repr(bb.inclusion_exclusion_slack(bel, [m, 0b101])),
+        "plausibility": lambda m: repr(bb.plausibility(bel, m)),
+        "BeliefValuation": lambda m: repr((bb.BeliefValuation(sp, m).core, bb.BeliefValuation(sp, 7).holds(m))),
+        "certificate_from_negative_mass": lambda m: repr(bb.certificate_from_negative_mass(signed, m).witness),
+    }
+
+
+@pytest.mark.parametrize("mask", [2.5, 3.0, np.float64(3.0), True, np.True_, "3", None])
+@pytest.mark.parametrize("name", sorted(mask_calls()))
+def test_non_integer_masks_rejected(name, mask):
+    with pytest.raises(bb.BeliefBetError, match=r"mask must be an integer, got "):
+        mask_calls()[name](mask)
+
+
+@pytest.mark.parametrize("name", sorted(mask_calls()))
+def test_numpy_integer_masks_read_as_ints(name):
+    call = mask_calls()[name]
+    assert call(np.int64(3)) == call(np.uint8(3)) == call(3)
+
+
+def test_check_mask_returns_a_python_int():
+    sp = space_of(3)
+    assert type(sp.check_mask(np.int64(3))) is int
+    with pytest.raises(bb.BeliefBetError, match="mask 8 out of range"):
+        sp.check_mask(np.int64(8))
+
+
 class TestTransforms:
     @given(mass_functions(max_n=8))
     def test_zeta_matches_naive(self, m):
