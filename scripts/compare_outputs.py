@@ -18,7 +18,12 @@ document 183, a wide near-copy envelope, the first whose negative-mass
 certificate takes a deletion family of more than two sets (1,024 gambles),
 and below ``--docs 466`` document 465, a near-copy envelope on 10 outcomes,
 the first whose default audit reports the witness of the probability
-verdict's interference search; its certificate takes 16 gambles.
+verdict's interference search; its certificate takes 16 gambles. Two
+core-vertex envelopes on 5 outcomes are run at every count: the lower
+envelope of all 120 vertices of the core of a belief function with positive
+mass on every nonempty subset, and the same envelope with one vertex
+dropped, whose sampled default audit calls it belief-consistent although
+the missing vertex prices a gamble above its Choquet value.
 
 Every model document is audited in human and machine format, with default
 flags, with ``--seed 7 --samples 64 --tol 1e-7`` and with ``--tol 0``, and it
@@ -28,18 +33,20 @@ from a stream of their own, so they change no draw of the model documents.
 Every document goes through ``transform --to mass`` in both formats at
 ``--tol`` 1e-9, 1e-12 and 0, and every Choquet document through ``transform
 --to belief`` in both formats. So a Choquet document gives 18 runs, any
-other model document 16 and a belief table 6: 5,230 at the default ``--docs
-400`` (401 documents, with 465) and 188 at ``--docs 12`` (14 documents, with
-183 and 465). The ``--seed 7`` audits and the ``--tol 1e-12`` transforms write
-through ``--out``, each runner to its own file; for them the file's text is
-the output, and their stdout, which must stay empty, is compared as well.
+other model document 16 and a belief table 6: 5,262 at the default ``--docs
+400`` (403 documents, with 465 and the two core-vertex envelopes) and 220 at
+``--docs 12`` (16 documents, with 183, 465 and the core-vertex envelopes).
+The ``--seed 7`` audits and the ``--tol 1e-12`` transforms write through
+``--out``, each runner to its own file; for them the file's text is the
+output, and their stdout, which must stay empty, is compared as well.
 
 The runs execute once against this checkout's ``src`` and once against the
 base checkout's, each checkout in one subprocess. A run's exit code, its
 output without the timestamp line, and its stderr must all match. The script
 prints each differing run with the first line where the base and this
-checkout part, then this checkout's exit codes of the ``--tol 0`` runs per
-document kind, then how many outputs it compared and how many differ, and
+checkout part, then this checkout's exit codes per document kind, first of
+the runs at the default tol (no ``--tol``, or ``--tol 1e-9``), then of the
+``--tol 0`` runs, then how many outputs it compared and how many differ, and
 exits 1 when any differ.
 """
 
@@ -68,6 +75,9 @@ WIDE_EVERY = 23
 #: Each is run below ``--docs`` one past it: the first documents to reach the
 #: rare audit branches (a large deletion family; the interference witness).
 RARE_BRANCHES = (183, 465)
+#: The kind of the core-vertex envelopes, and the row the second one drops.
+VERTEX_KIND = "core_vertex"
+VERTEX_DROPPED = 11
 
 #: Stands for the runner's own output file in a job's argument vector.
 OUT = "<out>"
@@ -206,11 +216,32 @@ def make_document(seed: int, index: int) -> dict:
     return _belief_doc(labels, _belief_values(n, masks, raw / math.fsum(raw.tolist())))
 
 
-def make_bets(seed: int, index: int, labels: list[str]) -> tuple[dict, dict]:
+def core_vertex_documents() -> tuple[dict, dict]:
+    """The lower envelope of every vertex of core(Bel), for the Bel of weights
+    drawn by ``default_rng(0)`` on all 31 nonempty subsets of 5 outcomes, and
+    the same envelope without row ``VERTEX_DROPPED``. The vertex of an
+    ordering s of the outcomes pays s_k the increment Bel({s_1..s_k}) -
+    Bel({s_1..s_(k-1)}); the rows follow ``itertools.permutations`` order."""
+    n = 5
+    masks = np.arange(1, 1 << n)
+    bel = _belief_values(n, masks, _normalized(np.random.default_rng(0).uniform(0.05, 1.0, masks.size)))
+    rows = []
+    for order in itertools.permutations(range(n)):
+        row = np.zeros(n)
+        row[list(order)] = np.diff(bel[np.cumsum(1 << np.array(order))], prepend=0.0)
+        rows.append(row.tolist())
+    labels = [f"o{i}" for i in range(n)]
+    return ({"space": labels, "kind": "lower_envelope", "rows": rows},
+            {"space": labels, "kind": "lower_envelope",
+             "rows": rows[:VERTEX_DROPPED] + rows[VERTEX_DROPPED + 1:]})
+
+
+def make_bets(seed: int, index: int, labels: list[str], stream: int = 1) -> tuple[dict, dict]:
     """Seeded gamble and ledger documents on the space of document ``index``,
-    drawn from a stream of their own. Every other gamble is left unnamed, and
-    the ledger holds 1-3 buys and 0-3 sells at prices drawn on [-1, 1]."""
-    rng = np.random.default_rng([seed, index, 1])
+    drawn from a stream of their own (stream 2 for the core-vertex envelopes).
+    Every other gamble is left unnamed, and the ledger holds 1-3 buys and 0-3
+    sells at prices drawn on [-1, 1]."""
+    rng = np.random.default_rng([seed, index, stream])
     n = len(labels)
     gambles = [{"payoff": rng.uniform(-1.0, 1.0, n).tolist()}
                for _ in range(int(rng.integers(1, 6)))]
@@ -287,18 +318,24 @@ def main(argv: list[str] | None = None) -> int:
     if not (base_src / "beliefbet" / "cli.py").is_file():
         parser.error(f"{args.base} has no src/beliefbet/cli.py")
 
-    indices = list(range(args.docs)) + [i for i in RARE_BRANCHES if i >= args.docs]
+    corpus = []  # (file name stem, kind, document, its gamble and ledger documents)
+    for index in list(range(args.docs)) + [i for i in RARE_BRANCHES if i >= args.docs]:
+        doc = make_document(CORPUS_SEED, index)
+        corpus.append((f"{index:04d}", KINDS[index % len(KINDS)], doc,
+                       make_bets(CORPUS_SEED, index, doc["space"])))
+    for k, (name, doc) in enumerate(zip(("-vertex-all", f"-vertex-drop{VERTEX_DROPPED}"),
+                                        core_vertex_documents())):
+        corpus.append((name, VERTEX_KIND, doc, make_bets(CORPUS_SEED, k, doc["space"], stream=2)))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         jobs, kinds = [], []
-        for index in indices:
-            doc = make_document(CORPUS_SEED, index)
-            paths = [work / f"{stem}{index:04d}.json" for stem in ("doc", "gambles", "ledger")]
-            for path, written in zip(paths, (doc, *make_bets(CORPUS_SEED, index, doc["space"]))):
+        for name, kind, doc, bets in corpus:
+            paths = [work / f"{stem}{name}.json" for stem in ("doc", "gambles", "ledger")]
+            for path, written in zip(paths, (doc, *bets)):
                 path.write_text(json.dumps(written))
             doc_jobs = jobs_for(doc, *map(str, paths))
             jobs.extend(doc_jobs)
-            kinds.extend([KINDS[index % len(KINDS)]] * len(doc_jobs))
+            kinds.extend([kind] * len(doc_jobs))
         digests = _run_both(work, jobs, base_src, "digest")
         if digests is None:
             return 2
@@ -317,15 +354,17 @@ def main(argv: list[str] | None = None) -> int:
                 (f"exit {b[0]}", f"exit {h[0]}") if k == 0 else first_difference(b[k], h[k])
             )
             print(f"  base:   {base_line}\n  change: {head_line}")
-    tally: dict[str, Counter] = {kind: Counter() for kind in KINDS}
+    tallies = {tol: {kind: Counter() for kind in (*KINDS, VERTEX_KIND)} for tol in (DEFAULT_TOL, 0.0)}
     for argv, kind, (code, *_) in zip(jobs, kinds, digests[0]):
-        if argv[-2:] == ZERO_TOL:
-            tally[kind][code if isinstance(code, int) else "raised"] += 1
-    for kind, codes in tally.items():
-        if codes:
-            counts = ", ".join(f"{code} x{count}" for code, count in sorted(codes.items(), key=str))
-            print(f"tol 0, {kind}: exit {counts}")
-    print(f"compared {len(jobs)} outputs over {len(indices)} documents: {len(differ)} differ")
+        tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else DEFAULT_TOL
+        if tol in tallies:
+            tallies[tol][kind][code if isinstance(code, int) else "raised"] += 1
+    for tol, tally in tallies.items():
+        for kind, codes in tally.items():
+            if codes:
+                counts = ", ".join(f"{code} x{count}" for code, count in sorted(codes.items(), key=str))
+                print(f"{'default tol' if tol else 'tol 0'}, {kind}: exit {counts}")
+    print(f"compared {len(jobs)} outputs over {len(corpus)} documents: {len(differ)} differ")
     return 1 if differ else 0
 
 

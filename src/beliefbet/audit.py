@@ -10,8 +10,9 @@ The last verdict inverts the indicator prices on the subset lattice and
 demands a nonnegative result. Choquet models (their own mass) and linear
 models (a probability) then agree with the Choquet integral by
 construction, and the duality probe checks their batch pricer; lower
-envelopes and other model objects must agree with the recovered Choquet
-prices on a seeded sample of gambles.
+envelopes and other model objects must agree with the Choquet integral of
+their own indicator prices (the layer cake a gap certificate prices) on a
+seeded sample of gambles.
 Failures ship a :class:`ViolationCertificate`, two lists of gambles whose
 summed worst-case revenue is ordered one way for every two-valued
 valuation while the summed buy prices are ordered strictly the other way;
@@ -36,7 +37,6 @@ from .errors import (
     SingletonCoreError,
 )
 from .previsions import (
-    ChoquetModel,
     Gamble,
     PriceModel,
     buy,
@@ -64,7 +64,6 @@ from .setfn import (
     _fewest_outcomes,
     _member_flags,
     _subfamily_intersections,
-    belief_to_mass,
 )
 
 _PROBE_STREAM = 0
@@ -86,6 +85,11 @@ class SamplePlan:
     num_ledgers: ClassVar[int] = 32
 
     def __post_init__(self) -> None:
+        for name in ("num_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BeliefBetError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_samples < 1:
             raise BeliefBetError("num_samples must be at least 1")
         if self.seed < 0:
@@ -97,10 +101,10 @@ def _rng(plan: SamplePlan, stream: int) -> np.random.Generator:
 
 
 def sample_gambles(space: OutcomeSpace, plan: SamplePlan) -> np.ndarray:
-    """The exact (num_samples, n) payoff matrix an audit checks Choquet
-    agreement on, for the models not consistent by construction (lower
-    envelopes and other model objects; not Choquet or linear models).
-    Exposed so third parties can replay the sample."""
+    """The exact (num_samples, n) payoff matrix on which an audit compares
+    model prices with the layer cakes of the model's own indicator prices,
+    for the models not consistent by construction (lower envelopes and
+    other model objects). Exposed so third parties can replay the sample."""
     lo, hi = plan.payoff_range
     return _rng(plan, _SAMPLE_STREAM).uniform(lo, hi, size=(plan.num_samples, space.n))
 
@@ -405,26 +409,13 @@ def certificate_from_choquet_gap(
     """Build a certificate from a gamble priced away from its layer value.
 
     The gamble is shifted to a zero minimum so all layer widths are
-    nonnegative; its worst-case revenue then equals the summed worst-case
-    revenue of the scaled indicator layers on every core, while the buy
-    prices differ. Requires the model's inverted indicator prices to be
-    nonnegative.
+    nonnegative; for any model its worst-case revenue then equals the summed
+    worst-case revenue of the scaled indicator layers on every core, while
+    the buy prices differ. ``choquet_price`` is the gamble's minimum plus
+    the layers' summed prices: the model's own Choquet value of the gamble.
     """
+    _check_tol(tol)
     _check_same_space(pm.space, gamble.space)
-    inverted = belief_to_mass(induced_set_function(pm), tol=tol)
-    if isinstance(inverted, NegativeMassReport):
-        raise BeliefBetError(
-            "inverted indicator prices are negative; use certificate_from_negative_mass"
-        )
-    return _choquet_gap_certificate(pm, gamble, ChoquetModel(inverted), tol)
-
-
-def _choquet_gap_certificate(
-    pm: PriceModel, gamble: Gamble, choquet: ChoquetModel, tol: float
-) -> ViolationCertificate:
-    """:func:`certificate_from_choquet_gap` for callers that already hold
-    ``choquet``, the Choquet model of the recovered mass of the model's
-    indicator prices."""
     space = pm.space
     shift = float(gamble.payoff.min())
     shifted = Gamble(space, gamble.payoff - shift)
@@ -455,9 +446,18 @@ def _choquet_gap_certificate(
         witness=ChoquetGapWitness(
             gamble=gamble,
             model_price=buy(pm, gamble),
-            choquet_price=buy(choquet, gamble),
+            choquet_price=shift + layer_price,
         ),
     )
+
+
+def _layer_table(payoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ascending levels and the upper-set masks beside them."""
+    order = np.argsort(payoffs, axis=1)
+    levels = np.take_along_axis(payoffs, order, axis=1)
+    # upper[:, j] is {X >= levels[:, j]} wherever levels[:, j] > levels[:, j - 1]
+    upper = np.bitwise_or.accumulate((1 << order)[:, ::-1], axis=1)[:, ::-1]
+    return levels, upper
 
 
 def verify_certificate(
@@ -484,10 +484,7 @@ def verify_certificate(
         _check_same_space(cert.space, g.space)
     signs = np.repeat((1.0, -1.0), (len(cert.xs), len(cert.ys)))
     payoffs = np.array([g.payoff for g in gambles]).reshape(-1, cert.space.n)
-    order = np.argsort(payoffs, axis=1)
-    levels = np.take_along_axis(payoffs, order, axis=1)
-    # upper[:, j] is {X >= levels[:, j]} wherever widths[:, j - 1] is nonzero
-    upper = np.bitwise_or.accumulate((1 << order)[:, ::-1], axis=1)[:, ::-1]
+    levels, upper = _layer_table(payoffs)
     widths = signs[:, None] * np.diff(levels, axis=1)
     table = np.bincount(upper[:, 1:].ravel(), widths.ravel(), minlength=cert.space.size)
     # the subset sums of the reversed table are the superset sums
@@ -556,10 +553,10 @@ def belief_consistency_audit(
     any weight below -tol yields a negative-mass certificate at the smallest
     offending subset (ties broken toward later outcomes). Otherwise Choquet
     and linear models are belief-consistent by construction and nothing is
-    sampled. Any other model's prices are compared with the Choquet prices
-    of the recovered weights on the plan's sampled gambles; the largest
-    disagreement beyond tol yields a pricing-gap certificate. Certificates
-    are verified before they are returned.
+    sampled. Any other model's prices of the plan's sampled gambles are
+    compared with their layer cakes over the model's own indicator prices;
+    the largest disagreement beyond tol yields a pricing-gap certificate on
+    those layers. Certificates are verified before they are returned.
     """
     space = pm.space
     probe_report = coherence_probe(pm, plan, tol=tol)
@@ -582,11 +579,12 @@ def belief_consistency_audit(
         consistent = False
     elif not _choquet_by_construction(pm):
         samples = sample_gambles(space, plan)
-        choquet = ChoquetModel(inverted)
-        gaps = np.abs(buy_batch(pm, samples) - choquet.buy_payoff_batch(samples))
+        levels, upper = _layer_table(samples)
+        layered = levels[:, 0] + (np.diff(levels, axis=1) * induced.values[upper[:, 1:]]).sum(axis=1)
+        gaps = np.abs(buy_batch(pm, samples) - layered)
         worst = int(np.argmax(gaps))
         if gaps[worst] > tol:
-            certificate = _choquet_gap_certificate(pm, Gamble(space, samples[worst]), choquet, tol)
+            certificate = certificate_from_choquet_gap(pm, Gamble(space, samples[worst]), tol=tol)
             consistent = False
 
     verified: bool | None = None

@@ -34,6 +34,22 @@ def test_negative_seed_rejected():
     assert bb.SamplePlan(seed=0).seed == 0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", True), ("num_samples", True), ("num_samples", 2.5), ("seed", 2.5)],
+    ids=["seed-bool", "samples-bool", "samples-float", "seed-float"],
+)
+def test_plan_values_must_be_integers(field, value):
+    with pytest.raises(bb.BeliefBetError, match=f"{field} must be an integer, got {value!r}"):
+        bb.SamplePlan(**{field: value})
+
+
+def test_plan_stores_numpy_integers_as_ints():
+    plan = bb.SamplePlan(num_samples=np.int64(5), seed=np.uint8(3))
+    assert (type(plan.num_samples), type(plan.seed)) == (int, int)
+    assert (plan.num_samples, plan.seed) == (5, 3)
+
+
 @pytest.mark.parametrize("num_samples", [0, -3])
 def test_sample_count_below_one_rejected(num_samples):
     with pytest.raises(bb.BeliefBetError, match="num_samples must be at least 1"):
@@ -705,6 +721,32 @@ class TestChoquetGapCertificate:
             with pytest.raises(bb.NoGapError, match=r"\(-?0\.0\)$"):
                 bb.certificate_from_choquet_gap(pm, bb.indicator(sp, mask), tol=0.0)
 
+    def test_negative_inversion_is_not_refused(self):
+        # the layer-cake identity holds for any model, so a model whose
+        # inverted indicator prices are negative still gets certificates,
+        # and every one verifies with a choquet_price read back from its sides
+        rng = np.random.default_rng(19)
+        built = models = 0
+        while models < 40:
+            n = int(rng.integers(3, 7))
+            pm = random_model(rng, space_of(n), "lower_envelope")
+            if not isinstance(bb.belief_to_mass(bb.induced_set_function(pm)), bb.NegativeMassReport):
+                continue
+            models += 1
+            for payoff in np.vstack([rng.uniform(-1, 1, (4, n)), tied_payoffs(rng, 4, n)]):
+                g = bb.Gamble(pm.space, payoff)
+                try:
+                    cert = bb.certificate_from_choquet_gap(pm, g)
+                except bb.NoGapError:
+                    continue
+                built += 1
+                assert bb.verify_certificate(pm, cert)
+                # an envelope pays at least the layer cake: xs is the shifted gamble
+                assert len(cert.xs) == 1
+                want = float(payoff.min()) + math.fsum(bb.buy(pm, y) for y in cert.ys)
+                assert cert.witness.choquet_price.hex() == want.hex()
+        assert built > 100
+
     def test_negative_payoffs_are_shifted(self):
         sp = space_of(3)
         pm = bb.LowerEnvelopeModel(
@@ -764,14 +806,30 @@ class TestGapLayersAgainstLoop:
         with pytest.raises(bb.NoGapError):
             bb.certificate_from_choquet_gap(pm, g, tol=0.0)
 
-    def test_envelope_audit_choquet_price(self):
-        sp = space_of(3)
-        pm = bb.LowerEnvelopeModel(sp, np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    @staticmethod
+    def audited_choquet_price(rows):
+        """The audit's choquet_price of a 3-outcome envelope, checked to be
+        the gamble's minimum plus the model's summed prices of the layers
+        (the ys of an envelope's certificate), and the Choquet price of the
+        recovered mass."""
+        pm = bb.LowerEnvelopeModel(space_of(3), np.array(rows))
         report = bb.belief_consistency_audit(pm)
         cert = report.certificate
         assert cert.kind == "choquet_gap"
-        want = bb.choquet_expectation(report.induced_mass, cert.witness.gamble)
+        shift = float(cert.witness.gamble.payoff.min())
+        want = shift + math.fsum(bb.buy(pm, y) for y in cert.ys)
         assert cert.witness.choquet_price.hex() == want.hex()
+        return want, bb.choquet_expectation(report.induced_mass, cert.witness.gamble)
+
+    def test_envelope_audit_choquet_price(self):
+        layered, recovered = self.audited_choquet_price([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        assert layered.hex() == recovered.hex()
+
+    def test_decimal_envelope_choquet_price(self):
+        # the layer sum and the recovered mass's Choquet price part in the last bits
+        layered, recovered = self.audited_choquet_price([[0.1, 0.1, 0.8], [0.2, 0.3, 0.5]])
+        assert layered != recovered
+        assert layered == pytest.approx(recovered, abs=1e-15)
 
 
 class TestVerifyCertificate:
@@ -1131,7 +1189,8 @@ def sample_gamble_calls(monkeypatch):
 
 class TestAgreementByFamily:
     """Choquet and linear models are belief-consistent by construction; the
-    other models are compared with their recovered Choquet prices on samples."""
+    other models are compared on samples with the layer cake of their own
+    indicator prices."""
 
     def test_zero_tolerance_choquet_model(self):
         # a sampled gamble's price differs from the Choquet price of the
@@ -1170,6 +1229,48 @@ class TestAgreementByFamily:
         assert not _choquet_by_construction(oracle)
         assert bb.belief_consistency_audit(oracle, plan).is_belief_consistent
         assert calls == [plan] * 3
+
+
+#: Document 39 of scripts/compare_outputs.py's corpus: a near-copy two-row
+#: envelope on 8 outcomes.
+NEAR_COPY_39 = (
+    ("0x1.141a1d74958ffp-3", "0x1.a29c8b6052dcap-6", "0x1.46e279478ac9bp-3", "0x1.5dbd27010777ap-5",
+     "0x1.9f34a79730ddep-4", "0x1.23d4085a7764cp-2", "0x1.b75e03c72e85bp-3", "0x1.2a80973f76ba9p-5"),
+    ("0x1.141a1d7402c66p-3", "0x1.a29c8b571f61ep-6", "0x1.46e2794a86afap-3", "0x1.5dbd270d139fap-5",
+     "0x1.9f34a78c95a05p-4", "0x1.23d4085ba4082p-2", "0x1.b75e03c604190p-3", "0x1.2a80973edaf2bp-5"),
+)
+
+
+def test_near_copy_envelope_is_judged_on_its_own_table():
+    # Its inversion has sub-tol negatives that the recovered mass drops; the
+    # worst sample is more than tol from the Choquet price of that mass, but
+    # within tol of the layer cake over the model's own indicator prices,
+    # the layers a gap certificate would price, so the envelope is consistent.
+    rows = np.array([[float.fromhex(h) for h in row] for row in NEAR_COPY_39])
+    pm = bb.LowerEnvelopeModel(space_of(8), rows)
+    report = bb.belief_consistency_audit(pm)
+    assert report.is_belief_consistent and report.certificate is None
+    samples = bb.sample_gambles(pm.space, report.plan)
+    prices = bb.buy_batch(pm, samples)
+    recovered = bb.ChoquetModel(report.induced_mass).buy_payoff_batch(samples)
+    assert np.abs(prices - recovered).max() > bb.DEFAULT_TOL
+    worst = bb.Gamble(pm.space, samples[int(np.argmax(np.abs(prices - recovered)))])
+    with pytest.raises(bb.NoGapError):
+        bb.certificate_from_choquet_gap(pm, worst)
+
+
+def test_layer_table_against_per_row_loop():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 5, 9, 16, 24):
+        payoffs = tied_payoffs(rng, 300, n)
+        levels, upper = beliefbet.audit._layer_table(payoffs)
+        for row, row_levels, row_upper in zip(payoffs, levels, upper):
+            want = row[np.argsort(row)]
+            assert [v.hex() for v in row_levels.tolist()] == [v.hex() for v in want.tolist()]
+            assert row_upper[0] == (1 << n) - 1
+            for j in range(1, n):
+                if row_levels[j] > row_levels[j - 1]:
+                    assert row_upper[j] == sum(1 << i for i in range(n) if row[i] >= row_levels[j])
 
 
 class TestCertificateWeight:
