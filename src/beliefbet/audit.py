@@ -42,12 +42,13 @@ from .previsions import (
     buy,
     buy_batch,
     induced_set_function,
-    payoff_layers,
     sell,
     _buy_blocks,
     _buy_each,
     _check_same_space,
     _choquet_by_construction,
+    _layer_cakes,
+    _layer_table,
 )
 from .setfn import (
     DEFAULT_TOL,
@@ -408,23 +409,21 @@ def certificate_from_choquet_gap(
 ) -> ViolationCertificate:
     """Build a certificate from a gamble priced away from its layer value.
 
-    The gamble is shifted to a zero minimum so all layer widths are
-    nonnegative; for any model its worst-case revenue then equals the summed
-    worst-case revenue of the scaled indicator layers on every core, while
-    the buy prices differ. ``choquet_price`` is the gamble's minimum plus
-    the layers' summed prices: the model's own Choquet value of the gamble.
+    The gamble is shifted to a zero minimum, and each rise of its layer
+    table, however small, gives a layer: the width times the indicator of
+    the upper set. The layers rebuild the shifted gamble, so the worst-case
+    revenues match on every core while the buy prices differ.
+    ``choquet_price`` is the gamble's minimum plus the layers' summed prices.
     """
     _check_tol(tol)
     _check_same_space(pm.space, gamble.space)
     space = pm.space
     shift = float(gamble.payoff.min())
     shifted = Gamble(space, gamble.payoff - shift)
-    layers = [
-        (level, upper) for level, upper in payoff_layers(shifted.payoff) if level > 0.0
-    ]
-    widths = np.diff([level for level, _ in layers], prepend=0.0)
-    flags = _member_flags([upper for _, upper in layers], space.n)
-    layer_gambles = _gambles(space, widths[:, None] * flags)
+    levels, upper = _layer_table(shifted.payoff[None])
+    widths = np.diff(levels[0])
+    kept = widths > 0
+    layer_gambles = _gambles(space, widths[kept, None] * _member_flags(upper[0, 1:][kept], space.n))
     model_price = buy(pm, shifted)
     layer_price = math.fsum(buy(pm, layer) for layer in layer_gambles)
     gap = model_price - layer_price
@@ -449,15 +448,6 @@ def certificate_from_choquet_gap(
             choquet_price=shift + layer_price,
         ),
     )
-
-
-def _layer_table(payoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ascending levels and the upper-set masks beside them."""
-    order = np.argsort(payoffs, axis=1)
-    levels = np.take_along_axis(payoffs, order, axis=1)
-    # upper[:, j] is {X >= levels[:, j]} wherever levels[:, j] > levels[:, j - 1]
-    upper = np.bitwise_or.accumulate((1 << order)[:, ::-1], axis=1)[:, ::-1]
-    return levels, upper
 
 
 def verify_certificate(
@@ -579,9 +569,7 @@ def belief_consistency_audit(
         consistent = False
     elif not _choquet_by_construction(pm):
         samples = sample_gambles(space, plan)
-        levels, upper = _layer_table(samples)
-        layered = levels[:, 0] + (np.diff(levels, axis=1) * induced.values[upper[:, 1:]]).sum(axis=1)
-        gaps = np.abs(buy_batch(pm, samples) - layered)
+        gaps = np.abs(buy_batch(pm, samples) - _layer_cakes(induced.values, samples))
         worst = int(np.argmax(gaps))
         if gaps[worst] > tol:
             certificate = certificate_from_choquet_gap(pm, Gamble(space, samples[worst]), tol=tol)

@@ -20,6 +20,9 @@ takes each focal set's first member in ascending payoff order instead, a
 sweep over blocks of rows that shares no code with the gather; the audit's
 duality probe plays the two against each other.
 
+Every layer cake reads one table of stably sorted payoff levels and their
+upper sets {X >= level}: only exactly tied payoffs share a layer.
+
 All values are immutable; all functions are pure.
 """
 
@@ -34,6 +37,7 @@ import numpy as np
 from .errors import BeliefBetError, SpaceMismatchError
 from .setfn import (
     EXACT_TOL,
+    MAX_OUTCOMES,
     BeliefFunction,
     MassFunction,
     OutcomeSpace,
@@ -326,39 +330,45 @@ def induced_set_function(pm: PriceModel) -> SetFunction:
     return SetFunction(pm.space, pm.induced_values())
 
 
-def payoff_layers(payoff: np.ndarray) -> list[tuple[float, int]]:
-    """Ascending distinct payoff levels with their upper-set masks.
+def _layer_table(payoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ascending levels and the upper-set masks beside them."""
+    # stable: upper[:, j] is {X >= levels[:, j]} at each tie's first column
+    order = np.argsort(payoffs, axis=1, kind="stable")
+    levels = np.take_along_axis(payoffs, order, axis=1)
+    upper = np.bitwise_or.accumulate((1 << order)[:, ::-1], axis=1)[:, ::-1]
+    return levels, upper
 
-    Each entry is (level, mask of outcomes paying at least level), over at
-    most MAX_OUTCOMES outcomes. Levels closer than ``EXACT_TOL`` merge at
-    the group's lowest value, so near-ties cannot create zero-width layers.
-    """
-    payoff = np.asarray(payoff, dtype=float)
-    order = np.argsort(payoff, kind="stable")
-    # upper[j] is the union of the outcomes order[j:], {X >= level} at a group's first j
-    upper = np.bitwise_or.accumulate((1 << order)[::-1])[::-1]
-    layers: list[tuple[float, int]] = []
-    for level, mask in zip(payoff[order].tolist(), upper.tolist()):
-        if not layers or level - layers[-1][0] >= EXACT_TOL:
-            layers.append((level, mask))
-    return layers
+
+def _layer_cakes(values: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """Each row's min plus its layer widths times ``values`` at their upper sets."""
+    levels, upper = _layer_table(payoffs)
+    return levels[:, 0] + (np.diff(levels, axis=1) * values[upper[:, 1:]]).sum(axis=1)
+
+
+def payoff_layers(payoff: np.ndarray) -> list[tuple[float, int]]:
+    """Ascending distinct payoff levels with their upper-set masks: each
+    entry is (level, mask of outcomes paying at least level), the layer
+    table's column at the first outcome of each level. Only exact ties,
+    signed zeros included, share a level."""
+    try:
+        payoff = np.asarray(payoff, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BeliefBetError("payoffs must be a numeric vector") from exc
+    if payoff.ndim != 1 or not 1 <= payoff.size <= MAX_OUTCOMES:
+        raise BeliefBetError(f"need a vector of 1 to {MAX_OUTCOMES} payoffs, got shape {payoff.shape}")
+    if not np.all(np.isfinite(payoff)):
+        raise BeliefBetError("payoffs must be finite")
+    levels, upper = _layer_table(payoff[None])
+    first = np.diff(levels[0], prepend=-np.inf) > 0
+    return list(zip(levels[0, first].tolist(), upper[0, first].tolist()))
 
 
 def choquet_layer_cake(bel: BeliefFunction, gamble: Gamble) -> float:
-    """Price a gamble by slicing it into payoff layers.
-
-    Sums (level - previous level) * Bel(payoff >= level) over the
-    ascending distinct levels of :func:`payoff_layers` (merged within
-    ``EXACT_TOL``), telescoping from 0, which matches the focal-sum value
-    for any sign pattern of the payoffs.
-    """
+    """Price a gamble by its layer table: min X plus (x_j - x_(j-1)) *
+    Bel(X >= x_j) over its ascending payoffs, reading Bel of the whole space
+    as 1; the focal-sum value for any sign pattern of the payoffs."""
     _check_same_space(bel.space, gamble.space)
-    total = 0.0
-    prev = 0.0
-    for level, upper in payoff_layers(gamble.payoff):
-        total += (level - prev) * float(bel.values[upper])
-        prev = level
-    return total
+    return float(_layer_cakes(bel.values, gamble.payoff[None])[0])
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ pure function of its inputs, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -238,10 +239,11 @@ def _check_endpoints(values: np.ndarray) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a ``tol`` that is not a finite number >= 0; NaN compares false
-    and an infinite tolerance passes everything."""
-    if not 0.0 <= tol < math.inf:
-        raise BeliefBetError(f"tol must be a finite number >= 0, got {float(tol)!r}")
+    """Reject a ``tol`` that is not a finite real number >= 0: a bool is no
+    tolerance, NaN compares false and an infinite tolerance passes everything."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_))
+    if not (real and 0.0 <= tol < math.inf):
+        raise BeliefBetError(f"tol must be a finite number >= 0, got {float(tol) if real else tol!r}")
 
 
 def _fewest_outcomes(masks: np.ndarray, *, lowest: bool = False) -> int:

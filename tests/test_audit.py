@@ -4,15 +4,25 @@ belief-consistency audit, and certificate construction/verification."""
 import math
 import time
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beliefbet as bb
 import beliefbet.audit
 from beliefbet.previsions import _buy_blocks, _buy_each, _choquet_by_construction
-from conftest import mass_functions, random_mass, random_model, space_of, tied_payoffs, wide_mass
+from conftest import (
+    mass_functions,
+    probability_vectors,
+    random_mass,
+    random_model,
+    space_of,
+    tied_payoffs,
+    wide_mass,
+)
 from oracles import (
     additivity_offenders_naive,
     choquet_gap_layers_loop as layer_gambles,
@@ -87,7 +97,7 @@ def bad_tol_calls():
     }
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, True, False, None, "1e-9"])
 @pytest.mark.parametrize("name", sorted(bad_tol_calls()))
 def test_tol_must_be_finite_and_nonnegative(name, tol):
     call = bad_tol_calls()[name]
@@ -781,8 +791,25 @@ class TestGapLayersAgainstLoop:
         assert len(self.layers([0.3, 0.3, 0.7, 0.1, 0.7])) == 2
 
     def test_near_ties_merge(self):
-        # 0.5 and 0.5 + 4e-13 are one level, so three groups give two layers
-        assert len(self.layers([0.0, 0.5, 0.5 + 4e-13, 1.0])) == 2
+        # 0.5 and 0.5 + 4e-13 are two levels: only exact ties share a layer
+        assert len(self.layers([0.0, 0.5, 0.5 + 4e-13, 1.0])) == 3
+
+    def test_near_tie_layers_rebuild_the_gamble(self):
+        # each of the five distinct levels, 9.9e-13 apart in the middle, is a
+        # level of its own, so the four layers earn what the shifted gamble
+        # earns on every core
+        payoff = [0.0, 0.5, 0.5 + 9.9e-13, 0.5 + 1.98e-12, 1.0]
+        sp = space_of(len(payoff))
+        pm = BumpModel(bb.MassFunction(sp, {sp.full_mask: 1.0}))
+        cert = bb.certificate_from_choquet_gap(pm, bb.Gamble(sp, np.array(payoff)))
+        assert len(cert.ys) == 4
+        assert bb.verify_certificate(pm, cert)
+        excess = max(
+            math.fsum(bb.guaranteed_revenue(v, x) for x in cert.xs)
+            - math.fsum(bb.guaranteed_revenue(v, y) for y in cert.ys)
+            for v in (bb.BeliefValuation(sp, core) for core in range(1, sp.size))
+        )
+        assert excess <= 1e-15
 
     def test_negative_payoffs(self):
         assert len(self.layers([-0.7, 0.2, -0.7, -1.3, 0.4, -0.0])) == 4
@@ -1259,20 +1286,6 @@ def test_near_copy_envelope_is_judged_on_its_own_table():
         bb.certificate_from_choquet_gap(pm, worst)
 
 
-def test_layer_table_against_per_row_loop():
-    rng = np.random.default_rng(19)
-    for n in (1, 2, 5, 9, 16, 24):
-        payoffs = tied_payoffs(rng, 300, n)
-        levels, upper = beliefbet.audit._layer_table(payoffs)
-        for row, row_levels, row_upper in zip(payoffs, levels, upper):
-            want = row[np.argsort(row)]
-            assert [v.hex() for v in row_levels.tolist()] == [v.hex() for v in want.tolist()]
-            assert row_upper[0] == (1 << n) - 1
-            for j in range(1, n):
-                if row_levels[j] > row_levels[j - 1]:
-                    assert row_upper[j] == sum(1 << i for i in range(n) if row[i] >= row_levels[j])
-
-
 class TestCertificateWeight:
     @pytest.mark.parametrize("n", [6, 8, 10, 12])
     def test_weight_is_the_reported_entry(self, n):
@@ -1313,3 +1326,31 @@ class TestCertificateWeight:
         assert [g.payoff.tolist() for g in cert.xs] == [
             bb.indicator(sp, a).payoff.tolist(), bb.indicator(sp, b).payoff.tolist()
         ]
+
+
+class TestVerdictsDoNotDependOnEncoding:
+    """At the default tol, one pricing functional written as different
+    documents gets the same verdict."""
+
+    @given(st.integers(1, 5).flatmap(probability_vectors))
+    def test_probability_as_linear_envelope_and_singleton_mass(self, p):
+        sp = space_of(p.size)
+        singletons = bb.MassFunction(sp, {1 << i: w for i, w in enumerate(p.tolist())})
+        for pm in (bb.LinearModel(sp, p), bb.LowerEnvelopeModel(sp, p[None]), bb.ChoquetModel(singletons)):
+            report = bb.belief_consistency_audit(pm)
+            assert report.is_belief_consistent and report.is_probability, pm.kind
+
+    @given(mass_functions(max_n=5))
+    def test_mass_as_choquet_and_as_its_core_vertices(self, m):
+        # each outcome order's vertex gives every focal weight to the set's
+        # first outcome in that order, so its entries are nonnegative
+        sp = m.space
+        vertices = set()
+        for sigma in permutations(range(sp.n)):
+            vertex = [0.0] * sp.n
+            for mask, w in m.weights.items():
+                vertex[next(i for i in sigma if mask >> i & 1)] += w
+            vertices.add(tuple(vertex))
+        envelope = bb.LowerEnvelopeModel(sp, np.array(sorted(vertices)))
+        for pm in (bb.ChoquetModel(m), envelope):
+            assert bb.belief_consistency_audit(pm).is_belief_consistent, pm.kind

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import beliefbet as bb
-from beliefbet.previsions import _buy_each
+from beliefbet.previsions import _buy_each, _layer_table
 from conftest import (
     gambles,
     mass_functions,
@@ -314,13 +314,14 @@ class TestChoquetLayerCake:
 
 
 class TestPayoffLayers:
-    """payoff_layers against the two-loop grouping of tests/oracles.py: the
-    same levels, bit for bit, the same masks and the same Python types."""
+    """payoff_layers against the two-loop grouping of tests/oracles.py at the
+    smallest merge tolerance, which groups exact ties only: the same levels,
+    bit for bit, the same masks and the same Python types."""
 
     @staticmethod
     def check(payoff):
         got = bb.payoff_layers(np.array(payoff, dtype=float))
-        want = payoff_layers_two_pass(np.array(payoff, dtype=float))
+        want = payoff_layers_two_pass(np.array(payoff, dtype=float), merge_tol=math.ulp(0.0))
         assert [(level.hex(), mask) for level, mask in got] == [
             (level.hex(), mask) for level, mask in want
         ]
@@ -338,10 +339,9 @@ class TestPayoffLayers:
             self.check(rng.integers(-3, 4, size=int(rng.integers(1, 13))) / 4)
 
     def test_near_tie_chains_keep_the_anchor(self):
-        # each step is inside 1e-12, the chain is not: a new level starts once
-        # a value is 1e-12 above its group's lowest value
+        # steps inside 1e-12 do not merge: every distinct value is a level
         got = self.check([0.0, 6e-13, 1.2e-12, 1.8e-12])
-        assert got == [(0.0, 15), (1.2e-12, 12)]
+        assert got == [(0.0, 15), (6e-13, 14), (1.2e-12, 12), (1.8e-12, 8)]
         rng = np.random.default_rng(9)
         for _ in range(200):
             n = int(rng.integers(1, 13))
@@ -352,6 +352,37 @@ class TestPayoffLayers:
         rng = np.random.default_rng(10)
         for _ in range(200):
             self.check(rng.uniform(-1.0, 0.0, size=int(rng.integers(1, 25))))
+
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0: one level, valued as the first of the tie in outcome order
+        got = self.check([0.0, -1.0, -0.0, 2.0])
+        assert [(level.hex(), mask) for level, mask in got] == [
+            ((-1.0).hex(), 15), ((0.0).hex(), 13), ((2.0).hex(), 8)
+        ]
+        assert [level.hex() for level, _ in self.check([-0.0, 0.0])] == [(-0.0).hex()]
+
+    @pytest.mark.parametrize(
+        "payoff",
+        [[0.0, math.nan], [0.0, math.inf], [0.0] * 70, [[0.0, 1.0], [2.0, 3.0]], [[0.0], [1.0, 2.0]], [], "0.5"],
+        ids=["nan", "inf", "70-payoffs", "2-d", "ragged", "empty", "string"],
+    )
+    def test_rejects_what_is_not_a_finite_payoff_vector(self, payoff):
+        with pytest.raises(bb.BeliefBetError):
+            bb.payoff_layers(payoff)
+
+
+def test_layer_table_against_per_row_loop():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 5, 9, 16, 24):
+        payoffs = tied_payoffs(rng, 300, n)
+        levels, upper = _layer_table(payoffs)
+        for row, row_levels, row_upper in zip(payoffs.tolist(), levels, upper):
+            order = sorted(range(n), key=row.__getitem__)  # a stable sort
+            assert [v.hex() for v in row_levels.tolist()] == [row[i].hex() for i in order]
+            assert row_upper.tolist() == [sum(1 << i for i in order[j:]) for j in range(n)]
+            for j in range(1, n):
+                if row_levels[j] > row_levels[j - 1]:
+                    assert row_upper[j] == sum(1 << i for i in range(n) if row[i] >= row_levels[j])
 
 
 class TestGuaranteedRevenue:
