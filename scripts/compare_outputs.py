@@ -16,14 +16,18 @@ choices follow the document index and change no draw of any other
 document. Two documents past the count are run as well: below ``--docs 184``
 document 183, a wide near-copy envelope, the first whose negative-mass
 certificate takes a deletion family of more than two sets (1,024 gambles),
-and below ``--docs 466`` document 465, a near-copy envelope on 10 outcomes,
-the first whose default audit reports the witness of the probability
-verdict's interference search; its certificate takes 16 gambles. Two
-core-vertex envelopes on 5 outcomes are run at every count: the lower
-envelope of all 120 vertices of the core of a belief function with positive
-mass on every nonempty subset, and the same envelope with one vertex
-dropped, whose sampled default audit calls it belief-consistent although
-the missing vertex prices a gamble above its Choquet value.
+and below ``--docs 466`` document 465, a near-copy envelope on 10 outcomes
+whose default audit reports a probability witness split away from its
+union's lowest outcome: of the three splits of {o1,o3,o7} only the one at
+o7 is priced more than tol from additive. Its certificate takes 16 gambles.
+Three more documents are run at every count. Two are core-vertex
+envelopes on 5 outcomes: the lower envelope of all 120 vertices of the core
+of a belief function with positive mass on every nonempty subset, and the
+same envelope with one vertex dropped, whose sampled default audit calls it
+belief-consistent although the missing vertex prices a gamble above its
+Choquet value. The third is a Choquet model on 8 outcomes with 0.9e-9 on
+each of its 247 subsets of two or more outcomes: no weight exceeds tol, but
+its prices are not additive within tol, so it is not a probability.
 
 Every model document is audited in human and machine format, with default
 flags, with ``--seed 7 --samples 64 --tol 1e-7`` and with ``--tol 0``, and it
@@ -33,9 +37,10 @@ from a stream of their own, so they change no draw of the model documents.
 Every document goes through ``transform --to mass`` in both formats at
 ``--tol`` 1e-9, 1e-12 and 0, and every Choquet document through ``transform
 --to belief`` in both formats. So a Choquet document gives 18 runs, any
-other model document 16 and a belief table 6: 5,262 at the default ``--docs
-400`` (403 documents, with 465 and the two core-vertex envelopes) and 220 at
-``--docs 12`` (16 documents, with 183, 465 and the core-vertex envelopes).
+other model document 16 and a belief table 6: 5,280 at the default ``--docs
+400`` (404 documents, with 465, the two core-vertex envelopes and the dense
+Choquet model) and 238 at ``--docs 12`` (17 documents, with 183, 465, the
+core-vertex envelopes and the dense Choquet model).
 The ``--seed 7`` audits and the ``--tol 1e-12`` transforms write through
 ``--out``, each runner to its own file; for them the file's text is the
 output, and their stdout, which must stay empty, is compared as well.
@@ -72,12 +77,18 @@ KINDS = ("linear", "choquet", "envelope", "near_copy", "noisy_belief", "signed_b
 ESCAPED_STEMS = ('a"b', "back\\slash", "tab\there", "é", "Ω", " lead")
 ESCAPED_EVERY = 5
 WIDE_EVERY = 23
-#: Each is run below ``--docs`` one past it: the first documents to reach the
-#: rare audit branches (a large deletion family; the interference witness).
+#: Each is run below ``--docs`` one past it, so that small counts reach rare
+#: audit paths too: 183 a large deletion family, 465 a probability witness
+#: split away from its union's lowest outcome.
 RARE_BRANCHES = (183, 465)
 #: The kind of the core-vertex envelopes, and the row the second one drops.
 VERTEX_KIND = "core_vertex"
 VERTEX_DROPPED = 11
+#: The kind of the dense Choquet model, its outcome count and the weight on
+#: each of its subsets of two or more outcomes.
+DENSE_KIND = "dense_choquet"
+DENSE_N = 8
+DENSE_WEIGHT = 0.9e-9
 
 #: Stands for the runner's own output file in a job's argument vector.
 OUT = "<out>"
@@ -236,9 +247,23 @@ def core_vertex_documents() -> tuple[dict, dict]:
              "rows": rows[:VERTEX_DROPPED] + rows[VERTEX_DROPPED + 1:]})
 
 
+def dense_choquet_document() -> dict:
+    """A Choquet model on ``DENSE_N`` outcomes with ``DENSE_WEIGHT`` on each of
+    its 247 subsets of two or more outcomes and the rest shared equally by
+    the singletons: no weight exceeds tol, yet the full set is priced
+    247 x 0.9e-9 = 2.2e-7 above the sum of its outcome prices."""
+    labels = [f"o{i}" for i in range(DENSE_N)]
+    masks = np.arange(1, 1 << DENSE_N)
+    singles = np.bitwise_count(masks) == 1
+    weights = np.where(singles, (1.0 - (~singles).sum() * DENSE_WEIGHT) / DENSE_N, DENSE_WEIGHT)
+    return {"space": labels, "kind": "choquet",
+            "mass": {_key(labels, int(m)): float(w) for m, w in zip(masks, weights)}}
+
+
 def make_bets(seed: int, index: int, labels: list[str], stream: int = 1) -> tuple[dict, dict]:
     """Seeded gamble and ledger documents on the space of document ``index``,
-    drawn from a stream of their own (stream 2 for the core-vertex envelopes).
+    drawn from a stream of their own (stream 2, indices 0 to 2, for the
+    core-vertex envelopes and the dense Choquet model).
     Every other gamble is left unnamed, and the ledger holds 1-3 buys and 0-3
     sells at prices drawn on [-1, 1]."""
     rng = np.random.default_rng([seed, index, stream])
@@ -326,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     for k, (name, doc) in enumerate(zip(("-vertex-all", f"-vertex-drop{VERTEX_DROPPED}"),
                                         core_vertex_documents())):
         corpus.append((name, VERTEX_KIND, doc, make_bets(CORPUS_SEED, k, doc["space"], stream=2)))
+    dense = dense_choquet_document()
+    corpus.append(("-dense", DENSE_KIND, dense, make_bets(CORPUS_SEED, 2, dense["space"], stream=2)))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         jobs, kinds = [], []
@@ -354,7 +381,8 @@ def main(argv: list[str] | None = None) -> int:
                 (f"exit {b[0]}", f"exit {h[0]}") if k == 0 else first_difference(b[k], h[k])
             )
             print(f"  base:   {base_line}\n  change: {head_line}")
-    tallies = {tol: {kind: Counter() for kind in (*KINDS, VERTEX_KIND)} for tol in (DEFAULT_TOL, 0.0)}
+    tallies = {tol: {kind: Counter() for kind in (*KINDS, VERTEX_KIND, DENSE_KIND)}
+               for tol in (DEFAULT_TOL, 0.0)}
     for argv, kind, (code, *_) in zip(jobs, kinds, digests[0]):
         tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else DEFAULT_TOL
         if tol in tallies:

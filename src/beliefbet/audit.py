@@ -252,42 +252,35 @@ class ProbabilityCheck:
         return self.is_probability
 
 
-def _probability_verdict(reading: _MobiusReading) -> ProbabilityCheck:
-    space, values, tol = reading.f.space, reading.f.values, reading.tol
-    # star is the lowest mask among those with the fewest outcomes, two or
-    # more, and |weight| > tol. A bool and a uint8 table pick it, so the
-    # transient stays near 2 bytes per subset.
-    heavy = reading.mob > tol
-    heavy[reading.negative] = True
-    heavy[0] = heavy[1 << np.arange(space.n)] = False
-    if not heavy.any():
+def _probability_verdict(f: SetFunction, tol: float) -> ProbabilityCheck:
+    """A probability iff every subset is priced within tol of the sum of its
+    outcome prices, summed as ``previsions._additive_values`` sums them."""
+    n, values = f.space.n, f.values
+    prices = values[1 << np.arange(n)]
+    low = min(n, 12)
+    base = _doubled(0.0, prices[:low], np.add, float)
+    # Block h adds its high prices to the 4,096-entry low doubling in bit
+    # order, so each entry is _doubled's sum in _doubled's order, and only
+    # one block of floats is held.
+    offends = np.empty((1 << (n - low), 1 << low), dtype=bool)
+    for h, block in enumerate(values.reshape(offends.shape)):
+        add = base.copy()
+        for price in prices[low:][_member_flags(h, n - low)]:
+            add += price
+        np.greater(np.abs(block - add), tol, out=offends[h])
+    offends = offends.reshape(-1)
+    offends[0] = False
+    if not offends.any():
         return ProbabilityCheck(True)
-    counts = _doubled(0, [1] * space.n, np.add, np.uint8)
-    # Raise the counts of the light subsets past every popcount.
-    np.copyto(counts, np.iinfo(np.uint8).max, where=np.logical_not(heavy, out=heavy))
-    del heavy
-    star = int(np.argmax(counts == counts.min()))
-    a = star & -star
-    b = star ^ a
-    if abs(values[star] - values[a] - values[b]) > tol:
-        return ProbabilityCheck(False, (a, b))
-    # Interference from sub-tolerance weights. Test the singleton extensions
-    # f(B + i) - f(B) - f(i), i not in B: exact additivity holds iff they
-    # all vanish (induction on |A|), so n 2^n checks replace the 3^n pairs.
-    # Report the first offender by union (popcount, mask), then lowest i.
-    offending = np.zeros(space.size, dtype=bool)
-    for i in range(space.n):
-        v = values.reshape(-1, 2, 1 << i)
-        gaps = np.abs(v[:, 1, :] - v[:, 0, :] - values[1 << i])
-        offending.reshape(-1, 2, 1 << i)[:, 1, :] |= gaps > tol
-    offending[1 << np.arange(space.n)] = False  # B empty
-    unions = np.flatnonzero(offending)
-    if not unions.size:
-        return ProbabilityCheck(False)
-    union = _fewest_outcomes(unions, lowest=True)
-    singles = 1 << np.flatnonzero(_member_flags(union, space.n))
+    # The fewest-outcome, lowest offender from a bool and a uint8 table:
+    # raise the counts of the others past every popcount.
+    counts = _doubled(0, [1] * n, np.add, np.uint8)
+    np.copyto(counts, np.iinfo(np.uint8).max, where=np.logical_not(offends, out=offends))
+    del offends
+    union = int(np.argmax(counts == counts.min()))
+    singles = 1 << np.flatnonzero(_member_flags(union, n))
     gaps = np.abs(values[union] - values[union ^ singles] - values[singles])
-    single = int(singles[np.argmax(gaps > tol)])
+    single = int(singles[np.argmax(gaps)])
     rest = union ^ single
     return ProbabilityCheck(False, (min(rest, single), max(rest, single)))
 
@@ -295,11 +288,13 @@ def _probability_verdict(reading: _MobiusReading) -> ProbabilityCheck:
 def probability_check(pm: PriceModel, *, tol: float = DEFAULT_TOL) -> ProbabilityCheck:
     """Decide whether the model prices indicators additively.
 
-    True iff the inversion of the indicator prices is carried by
-    singletons; on failure the witness is a disjoint pair whose union is
-    priced away from the sum of its parts.
+    True iff every indicator price is within tol of the sum of its outcome
+    prices. On failure the witness is (rest, single), ascending: the
+    fewest-outcome, lowest offending union split at the outcome whose split
+    gap is largest. That gap may be within tol when sub-tol gaps add up.
     """
-    return _probability_verdict(_MobiusReading(induced_set_function(pm), tol))
+    _check_tol(tol)
+    return _probability_verdict(induced_set_function(pm), tol)
 
 
 @dataclass(frozen=True)
@@ -477,9 +472,11 @@ def verify_certificate(
     levels, upper = _layer_table(payoffs)
     widths = signs[:, None] * np.diff(levels, axis=1)
     table = np.bincount(upper[:, 1:].ravel(), widths.ravel(), minlength=cert.space.size)
-    # the subset sums of the reversed table are the superset sums
-    gap = _butterfly(table[::-1], np.add)[::-1] + math.fsum((signs * levels[:, 0]).tolist())
-    if not np.all(gap[1:] <= EXACT_TOL):
+    # in place, as floats (a side with no layers makes bincount's int64): the
+    # subset sums of the reversed table are the superset sums
+    gap = _butterfly(table.astype(float, copy=False)[::-1], np.add)[::-1]
+    gap += math.fsum((signs * levels[:, 0]).tolist())
+    if gap[1:].max() > EXACT_TOL:
         return False
     bought_x = math.fsum(buy(pm, g) for g in cert.xs)
     bought_y = math.fsum(buy(pm, g) for g in cert.ys)
@@ -553,18 +550,17 @@ def belief_consistency_audit(
     induced = induced_set_function(pm)
     reading = _MobiusReading(induced, tol)
     inverted = reading.mass()
-    prob = _probability_verdict(reading)
+    prob = _probability_verdict(induced, tol)
     sure_worst = _sampled_sure_loss(pm, plan)
 
     certificate: ViolationCertificate | None = None
     consistent = True
     if isinstance(inverted, NegativeMassReport):
-        candidates = reading.negative[np.bitwise_count(reading.negative) >= 2]
-        if not candidates.size:
+        subset = _fewest_outcomes(reading.negative, least=2)
+        if subset.bit_count() < 2:
             raise BeliefBetError(
                 "only singleton weights are negative; the model is outside the coherent family"
             )
-        subset = _fewest_outcomes(candidates)
         certificate = certificate_from_negative_mass(induced, subset, tol=tol)
         consistent = False
     elif not _choquet_by_construction(pm):

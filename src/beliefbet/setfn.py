@@ -22,8 +22,9 @@ a small scratch table, where stage b sweeps runs of 16 x 2^b entries. A low
 stage only combines entries inside one row, so every entry still sees the
 same operations in the same order and the result is the same bit for bit.
 
-A verdict on a table (belief function or not, its mass, probability or not)
-reads one :class:`_MobiusReading` of it, which alone inverts and scans the table.
+A belief verdict on a table (belief function or not, its mass) reads one
+:class:`_MobiusReading` of it, which alone inverts and scans the table; the
+probability verdict reads the table itself.
 
 Every value here is immutable after construction and every operation is a
 pure function of its inputs, so concurrent use needs no locking.
@@ -246,12 +247,12 @@ def _check_tol(tol: float) -> None:
         raise BeliefBetError(f"tol must be a finite number >= 0, got {float(tol) if real else tol!r}")
 
 
-def _fewest_outcomes(masks: np.ndarray, *, lowest: bool = False) -> int:
-    """Canonical witness among ``masks``: fewest outcomes first, ties broken
-    toward the subset containing later outcomes, or the lowest mask if ``lowest``."""
+def _fewest_outcomes(masks: np.ndarray, least: int = 0) -> int:
+    """Canonical witness among ``masks``: fewest outcomes, those with fewer
+    than ``least`` last, then the subset containing later outcomes."""
     counts = np.bitwise_count(masks)
-    tied = masks[counts == counts.min()]
-    return int(tied.min() if lowest else tied.max())
+    counts[counts < least] = np.iinfo(np.uint8).max
+    return int(masks[counts == counts.min()].max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,9 +381,9 @@ def mass_to_belief(m: MassFunction) -> BeliefFunction:
 
 
 class _MobiusReading:
-    """The one reading of a table ``f`` at one ``tol`` that every verdict on it
-    takes: ``mob``, its frozen Moebius transform, and ``negative``, the
-    ascending masks whose weight is below -tol. It holds no 2^n bool table."""
+    """The one reading of a table ``f`` at one ``tol`` for its belief verdicts:
+    ``mob``, its frozen Moebius transform, and ``negative``, the ascending
+    masks whose weight is below -tol. It holds no 2^n bool table."""
 
     def __init__(self, f: _TableLike, tol: float) -> None:
         _check_tol(tol)

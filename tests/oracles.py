@@ -17,7 +17,10 @@ keeps the Choquet-gap certificate's layers built one Gamble at a time, which
 its one-matrix build must equal bit for bit. For the negative-mass
 certificate, least_order_naive tries every deletion family of the witness,
 and pair_certificate_triu keeps the pair scan over ``np.triu_indices`` that
-every pair certificate must equal bit for bit."""
+every pair certificate must equal bit for bit. additivity_witness_naive
+decides the probability verdict one subset at a time, summing outcome
+prices in the order the additive table sums them, so it must equal the
+verdict exactly."""
 
 import math
 from itertools import combinations
@@ -333,3 +336,25 @@ def additivity_offenders_naive(values, n, tol):
         for b in range(a + 1, size)
         if a & b == 0 and abs(values[a | b] - values[a] - values[b]) > tol
     }
+
+
+def additivity_witness_naive(values, n, tol):
+    """The probability verdict's witness, or None for a probability. A subset
+    offends when its price is more than tol from its outcome prices summed
+    from 0.0 in ascending bit order; the fewest-outcome, lowest offender is
+    split into (rest, single) at the single of the largest split gap, the
+    lowest single on ties, and returned in ascending order. ``values`` is a
+    list of floats."""
+    offenders = []
+    for mask in range(1, 1 << n):
+        total = 0.0
+        for i in bits(mask):
+            total += values[1 << i]
+        if abs(values[mask] - total) > tol:
+            offenders.append(mask)
+    if not offenders:
+        return None
+    union = min(offenders, key=lambda mask: (mask.bit_count(), mask))
+    gap = {i: abs(values[union] - values[union ^ 1 << i] - values[1 << i]) for i in bits(union)}
+    single = 1 << max(bits(union), key=lambda i: (gap[i], -i))
+    return tuple(sorted((union ^ single, single)))

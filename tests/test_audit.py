@@ -24,7 +24,9 @@ from conftest import (
     wide_mass,
 )
 from oracles import (
+    additive_values_loop,
     additivity_offenders_naive,
+    additivity_witness_naive,
     choquet_gap_layers_loop as layer_gambles,
     duality_rhs_by_sell,
     envelope_induced_naive,
@@ -416,8 +418,8 @@ class TableModel:
 def near_additive_table(n, extra):
     """A uniform probability plus the Moebius weights {0,1} = -0.8e-9,
     {0,2} = -0.7e-9 and {0,1,2} = +1.5e-9 and any ``extra`` ones. The
-    three weights cancel on the split of {0,1,2} the primary check tries,
-    so the verdict needs the fallback."""
+    three weights cancel on {0,1,2}: one weight beyond tol, yet without
+    ``extra`` every price is within tol of its outcome sum."""
     mob = np.zeros(1 << n)
     mob[1 << np.arange(n)] = 1.0 / n
     mob[0b011] += -0.8e-9
@@ -431,12 +433,13 @@ def near_additive_table(n, extra):
 class TestProbabilityFallback:
     @pytest.mark.parametrize("n", [12, 14])
     def test_sub_tolerance_interference_has_no_witness(self, n):
+        # a weight beyond tol that cancels is no offence: the prices are additive within tol
         sp = bb.make_space([f"w{i}" for i in range(n)])
         pm = TableModel(sp, near_additive_table(n, {}))
         start = time.perf_counter()
         check = bb.probability_check(pm)
         elapsed = time.perf_counter() - start
-        assert not check.is_probability
+        assert check.is_probability
         assert check.witness is None
         assert elapsed < 0.1
 
@@ -452,21 +455,16 @@ class TestProbabilityFallback:
             values = near_additive_table(
                 n, {int(m): float(rng.uniform(-0.9, 0.9)) * tol for m in picks}
             )
-            # {0,1,2} stays the first offender and its split still cancels
+            # the split of {0,1,2} at its lowest outcome still cancels
             assert abs(values[7] - values[1] - values[6]) <= tol
             check = bb.probability_check(TableModel(sp, values), tol=tol)
-            assert not check.is_probability
-            oracle = additivity_offenders_naive(values, n, tol)
-            # first singleton extension: by union (popcount, mask), then lowest i
-            extensions = [(a | b, s) for a, b in oracle for s in (a, b) if s.bit_count() == 1]
-            expected = None
-            if extensions:
-                union, single = min(extensions, key=lambda e: (e[0].bit_count(), e[0], e[1]))
-                expected = tuple(sorted((single, union ^ single)))
-            assert check.witness == expected
+            assert check.witness == additivity_witness_naive(values.tolist(), n, tol)
+            assert check.is_probability is (check.witness is None)
             if check.witness is not None:
                 witnessed += 1
-                assert check.witness in oracle
+                a, b = check.witness
+                if abs(values[a | b] - values[a] - values[b]) > tol:
+                    assert check.witness in additivity_offenders_naive(values, n, tol)
         assert witnessed >= 10
 
 
@@ -501,28 +499,109 @@ class TestPrimaryWitness:
         assert split_witnesses >= 40
 
     def test_primary_pick_transient_at_twenty_outcomes(self):
-        # The star is picked from a bool and a uint8 table: under 3 bytes per
-        # subset on top of the inputs, where an int64 popcount table, an
-        # |weight| table and an offender index took about 11.
+        # The additive prices are built one block of 2^12 at a time and the
+        # offender is picked from a bool and a uint8 table: under 3 bytes per
+        # subset on top of the inputs, where a whole additive table takes 8.
         n = 20
         rng = np.random.default_rng(3)
         rows = rng.uniform(0.05, 1.0, size=(4, n))
         space = bb.make_space([f"w{i}" for i in range(n)])
         pm = bb.LowerEnvelopeModel(space, rows / rows.sum(axis=1, keepdims=True))
-        reading = beliefbet.setfn._MobiusReading(bb.induced_set_function(pm), 1e-9)
-        mob = reading.mob
+        f = bb.induced_set_function(pm)
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            check = beliefbet.audit._probability_verdict(reading)
+            check = beliefbet.audit._probability_verdict(f, 1e-9)
             transient = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert transient < 3 << n
-        heavy = np.flatnonzero(np.abs(mob) > 1e-9)
-        counts = np.bitwise_count(heavy)
-        star = int(heavy[np.argmin(np.where(counts >= 2, counts, n + 1))])
-        assert check.witness == (star & -star, star ^ (star & -star))
+        additive = additive_values_loop(space, f.values[1 << np.arange(n)])
+        offenders = np.flatnonzero(np.abs(f.values - additive) > 1e-9)
+        union = int(offenders[np.argmin(np.bitwise_count(offenders))])
+        singles = [1 << i for i in range(n) if union >> i & 1]
+        gaps = [abs(f.values[union] - f.values[union ^ s] - f.values[s]) for s in singles]
+        single = singles[int(np.argmax(gaps))]
+        assert check.witness == tuple(sorted((single, union ^ single)))
+
+
+def dense_choquet(n, weight=0.9e-9):
+    """A Choquet model with ``weight`` on every subset of two or more of n
+    outcomes and the rest shared by the singletons."""
+    sp = bb.make_space([f"w{i}" for i in range(n)])
+    k = sp.size - 1 - n
+    weights = {m: weight for m in range(1, sp.size) if m.bit_count() >= 2}
+    weights.update({1 << i: (1.0 - k * weight) / n for i in range(n)})
+    return bb.ChoquetModel(bb.MassFunction(sp, weights))
+
+
+class TestProbabilityVerdict:
+    """A probability prices every subset within tol of the sum of its
+    outcome prices; the witness splits the first offender."""
+
+    def test_models_against_the_oracle(self):
+        rng = np.random.default_rng(61)
+        verdicts = set()
+        for kind in ("linear", "choquet", "lower_envelope"):
+            for _ in range(30):
+                sp = space_of(int(rng.integers(1, 7)))
+                pm = random_model(rng, sp, kind)
+                values = bb.induced_set_function(pm).values.tolist()
+                for tol in (1e-9, 0.0):
+                    check = bb.probability_check(pm, tol=tol)
+                    assert check.witness == additivity_witness_naive(values, sp.n, tol)
+                    assert check.is_probability is (check.witness is None)
+                    verdicts.add((kind, check.is_probability))
+        assert verdicts == {("linear", True), ("choquet", True), ("choquet", False),
+                            ("lower_envelope", True), ("lower_envelope", False)}
+
+    def test_sub_tolerance_chains_against_the_oracle(self):
+        # pair weights of 0.1-0.5 tol add up along chains, so the first
+        # offender's best split can stay within tol; two weights of up to
+        # 0.9 tol elsewhere
+        rng = np.random.default_rng(62)
+        tol = 1e-9
+        chains = splits = 0
+        for _ in range(120):
+            n = int(rng.integers(4, 7))
+            free = [m for m in range(1, 1 << n) if m.bit_count() >= 2 and m not in (3, 5, 7)]
+            extra = {m: float(rng.uniform(0.1, 0.5)) * tol
+                     for m in free if m.bit_count() == 2 and rng.random() < 0.6}
+            picks = rng.choice(free, size=2, replace=False)
+            extra.update({int(m): float(rng.uniform(-0.9, 0.9)) * tol for m in picks})
+            values = near_additive_table(n, extra)
+            check = bb.probability_check(TableModel(space_of(n), values), tol=tol)
+            assert check.witness == additivity_witness_naive(values.tolist(), n, tol)
+            assert check.is_probability is (check.witness is None)
+            if check.witness is not None:
+                a, b = check.witness
+                union = a | b
+                assert a & b == 0 and a < b
+                additive = math.fsum(values[1 << i] for i in range(n) if union >> i & 1)
+                assert abs(values[union] - additive) > tol
+                if abs(values[union] - values[a] - values[b]) > tol:
+                    splits += 1
+                else:
+                    chains += 1
+        assert chains >= 10 and splits >= 10
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_dense_sub_tolerance_weights_are_not_a_probability(self, n):
+        # every weight is within tol, but the prices are not additive:
+        # f(all) - sum of f({i}) is the non-singleton mass, 2.2e-7 at n = 8
+        pm = dense_choquet(n)
+        check = bb.probability_check(pm)
+        assert not check.is_probability
+        a, b = check.witness
+        values = bb.induced_set_function(pm).values
+        additive = math.fsum(values[1 << i] for i in range(n) if (a | b) >> i & 1)
+        assert a & b == 0 and abs(values[a | b] - additive) > 1e-9
+        assert values[-1] - math.fsum(values[1 << np.arange(n)].tolist()) > 2e-7
+
+    def test_dense_audit_is_not_a_probability(self):
+        report = bb.belief_consistency_audit(dense_choquet(8), bb.SamplePlan(num_samples=16))
+        assert report.is_belief_consistent
+        assert not report.is_probability and report.probability_witness == (1, 6)
 
 
 class TestSharedWitnessRule:
@@ -1330,7 +1409,7 @@ class TestCertificateWeight:
 
 class TestVerdictsDoNotDependOnEncoding:
     """At the default tol, one pricing functional written as different
-    documents gets the same verdict."""
+    documents gets the same verdict; a probability is one at tol 0 too."""
 
     @given(st.integers(1, 5).flatmap(probability_vectors))
     def test_probability_as_linear_envelope_and_singleton_mass(self, p):
@@ -1339,6 +1418,15 @@ class TestVerdictsDoNotDependOnEncoding:
         for pm in (bb.LinearModel(sp, p), bb.LowerEnvelopeModel(sp, p[None]), bb.ChoquetModel(singletons)):
             report = bb.belief_consistency_audit(pm)
             assert report.is_belief_consistent and report.is_probability, pm.kind
+
+    @given(st.integers(1, 10).flatmap(probability_vectors))
+    def test_probability_encodings_at_tol_zero(self, p):
+        # each encoding's indicator prices are the additive table itself
+        sp = space_of(p.size)
+        singletons = bb.MassFunction(sp, {1 << i: w for i, w in enumerate(p.tolist())})
+        for pm in (bb.LinearModel(sp, p), bb.LowerEnvelopeModel(sp, p[None]), bb.ChoquetModel(singletons)):
+            check = bb.probability_check(pm, tol=0.0)
+            assert check.is_probability and check.witness is None, pm.kind
 
     @given(mass_functions(max_n=5))
     def test_mass_as_choquet_and_as_its_core_vertices(self, m):

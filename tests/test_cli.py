@@ -463,7 +463,7 @@ class TestSingleMobiusPass:
                 assert len(mobius_calls) == 1
             mobius_calls.clear()
             bb.probability_check(pm)
-            assert len(mobius_calls) == 1
+            assert len(mobius_calls) == 0  # it reads the induced table only
 
 
 def near_tie_envelope(seed):
@@ -518,10 +518,11 @@ def reading_cases():
 
 
 class TestOneReading:
-    """Every verdict on a table reads one Moebius reading of it, so the
-    callers agree at every tol. The one gap: is_belief_function does not
-    check the weight sum, so it passes near-tie tables that belief_to_mass
-    rejects (test_near_tie_seed_two_disagrees)."""
+    """Every belief verdict on a table reads one Moebius reading of it, and
+    the probability verdict reads the table itself, so the callers agree at
+    every tol. The one gap: is_belief_function does not check the weight
+    sum, so it passes near-tie tables that belief_to_mass rejects
+    (test_near_tie_seed_two_disagrees)."""
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
     def test_callers_agree(self, tmp_path, capsys, tol):
@@ -582,15 +583,20 @@ class TestOneReading:
 
     def test_near_tie_seed_two_disagrees(self):
         """Pins today's answers on the near-tie envelope of seed 2 (n=13):
-        is_belief_function and probability_check pass its induced table, while
-        belief_to_mass and the audit reject the clamped weights' sum. ROADMAP
-        item 1's noise budget turns this around, and that change records it
-        as a spec correction."""
+        is_belief_function passes its induced table, while belief_to_mass and
+        the audit reject the clamped weights' sum. ROADMAP item 1's noise
+        budget turns this around, and that change records it as a spec
+        correction. Its prices are not additive within tol: the witness's
+        union is priced more than tol from its outcome sum."""
         pm = near_tie_envelope(2)
         induced = bb.induced_set_function(pm)
         assert pm.space.n == 13
         assert bb.is_belief_function(induced).ok
-        assert bb.probability_check(pm).is_probability
+        prob = bb.probability_check(pm)
+        assert not prob.is_probability
+        union = prob.witness[0] | prob.witness[1]
+        outcomes = [induced.values[1 << i] for i in range(13) if union >> i & 1]
+        assert abs(induced.values[union] - math.fsum(outcomes)) > 1e-9
         message = "recovered weights sum to 1.0000002266912253, too far from 1"
         with pytest.raises(bb.BeliefBetError, match=message):
             bb.belief_to_mass(induced)
