@@ -58,6 +58,7 @@ from .setfn import (
     OutcomeSpace,
     SetFunction,
     _MobiusReading,
+    _additive_blocks,
     _butterfly,
     _check_tol,
     _deletion_family,
@@ -254,26 +255,15 @@ class ProbabilityCheck:
 
 def _probability_verdict(f: SetFunction, tol: float) -> ProbabilityCheck:
     """A probability iff every subset is priced within tol of the sum of its
-    outcome prices, summed as ``previsions._additive_values`` sums them."""
+    outcome prices, summed block by block as the additive pricer sums them."""
     n, values = f.space.n, f.values
-    prices = values[1 << np.arange(n)]
-    low = min(n, 12)
-    base = _doubled(0.0, prices[:low], np.add, float)
-    # Block h adds its high prices to the 4,096-entry low doubling in bit
-    # order, so each entry is _doubled's sum in _doubled's order, and only
-    # one block of floats is held.
-    offends = np.empty((1 << (n - low), 1 << low), dtype=bool)
-    for h, block in enumerate(values.reshape(offends.shape)):
-        add = base.copy()
-        for price in prices[low:][_member_flags(h, n - low)]:
-            add += price
-        np.greater(np.abs(block - add), tol, out=offends[h])
-    offends = offends.reshape(-1)
+    offends = np.empty(f.space.size, dtype=bool)
+    for at, add in _additive_blocks(values[1 << np.arange(n)]):
+        np.greater(np.abs(values[at] - add), tol, out=offends[at])
     offends[0] = False
     if not offends.any():
         return ProbabilityCheck(True)
-    # The fewest-outcome, lowest offender from a bool and a uint8 table:
-    # raise the counts of the others past every popcount.
+    # the fewest-outcome, lowest offender: raise the others' popcounts past every count
     counts = _doubled(0, [1] * n, np.add, np.uint8)
     np.copyto(counts, np.iinfo(np.uint8).max, where=np.logical_not(offends, out=offends))
     del offends
@@ -281,8 +271,7 @@ def _probability_verdict(f: SetFunction, tol: float) -> ProbabilityCheck:
     singles = 1 << np.flatnonzero(_member_flags(union, n))
     gaps = np.abs(values[union] - values[union ^ singles] - values[singles])
     single = int(singles[np.argmax(gaps)])
-    rest = union ^ single
-    return ProbabilityCheck(False, (min(rest, single), max(rest, single)))
+    return ProbabilityCheck(False, tuple(sorted((union ^ single, single))))
 
 
 def probability_check(pm: PriceModel, *, tol: float = DEFAULT_TOL) -> ProbabilityCheck:
@@ -472,11 +461,10 @@ def verify_certificate(
     levels, upper = _layer_table(payoffs)
     widths = signs[:, None] * np.diff(levels, axis=1)
     table = np.bincount(upper[:, 1:].ravel(), widths.ravel(), minlength=cert.space.size)
-    # in place, as floats (a side with no layers makes bincount's int64): the
-    # subset sums of the reversed table are the superset sums
+    # as floats in place (no layers gives int64); reversed subset sums are superset sums
     gap = _butterfly(table.astype(float, copy=False)[::-1], np.add)[::-1]
     gap += math.fsum((signs * levels[:, 0]).tolist())
-    if gap[1:].max() > EXACT_TOL:
+    if not gap[1:].max() <= EXACT_TOL:  # so that a NaN core fails too
         return False
     bought_x = math.fsum(buy(pm, g) for g in cert.xs)
     bought_y = math.fsum(buy(pm, g) for g in cert.ys)

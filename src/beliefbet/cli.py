@@ -512,8 +512,9 @@ def _report_lines(report: AuditReport) -> list[str]:
     lines.append(f"sure-loss worst exposure: {_fmt(report.sure_loss_worst)}")
     lines.append(f"prices additive (probability): {report.is_probability}")
     if report.probability_witness is not None:
-        a, b = subset_keys(space.labels, report.probability_witness)
-        lines.append(f"  additivity fails on {{{a}}} and {{{b}}}")
+        a, b = report.probability_witness
+        union, a, b = subset_keys(space.labels, [a | b, a, b])
+        lines.append(f"  {{{union}}} is priced more than tol from its outcome sum (split {{{a}}} + {{{b}}})")
     if report.is_belief_consistent:
         lines.append("VERDICT: belief-consistent")
         lines.append("recovered mass:")

@@ -42,8 +42,8 @@ from .setfn import (
     MassFunction,
     OutcomeSpace,
     SetFunction,
+    _additive_blocks,
     _butterfly,
-    _doubled,
     _frozen,
     _member_flags,
     zeta_transform,
@@ -102,9 +102,12 @@ def constant_gamble(space: OutcomeSpace, value: float) -> Gamble:
 
 
 def _additive_values(space: OutcomeSpace, prob: np.ndarray) -> np.ndarray:
-    """Indicator prices under one probability vector, doubling one outcome at a
-    time: each is the same sum, in the same order, as the singleton seed's zeta."""
-    return _doubled(0.0, prob, np.add, float)
+    """Indicator prices under one probability vector, block by block: each is
+    the same sum, in the same order, as the singleton seed's zeta."""
+    table = np.empty(space.size)
+    for at, block in _additive_blocks(prob):
+        table[at] = block
+    return table
 
 
 def _check_probability_vector(p: np.ndarray, what: str) -> np.ndarray:

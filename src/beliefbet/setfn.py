@@ -10,8 +10,8 @@ deciding what it computes: ``np.add`` the zeta transform (on a reversed
 table, the sum over supersets), ``np.subtract`` the Moebius transform, and
 ``np.logical_or`` the up-closure of a family of sets. Every table over the
 subsets of a list of steps is one doubling pass, :func:`_doubled`: ``np.add``
-additive prices and popcounts, ``np.bitwise_and`` subfamily intersections and
-``np.bitwise_or`` sublattices.
+popcounts and (one block at a time, :func:`_additive_blocks`) additive prices,
+``np.bitwise_and`` subfamily intersections and ``np.bitwise_or`` sublattices.
 
 Stage b of the butterfly pairs entries 2^b apart, so its contiguous runs are
 2^b entries long. numpy (2.4, default buffer size) copies runs shorter than
@@ -23,8 +23,7 @@ stage only combines entries inside one row, so every entry still sees the
 same operations in the same order and the result is the same bit for bit.
 
 A belief verdict on a table (belief function or not, its mass) reads one
-:class:`_MobiusReading` of it, which alone inverts and scans the table; the
-probability verdict reads the table itself.
+:class:`_MobiusReading` of it, which alone inverts and scans the table.
 
 Every value here is immutable after construction and every operation is a
 pure function of its inputs, so concurrent use needs no locking.
@@ -35,7 +34,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from functools import reduce
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -185,6 +185,16 @@ def _doubled(first, steps: Sequence, op: np.ufunc, dtype) -> np.ndarray:
     for i, step in enumerate(steps):
         op(table[: 1 << i], step, out=table[1 << i : 2 << i])
     return table
+
+
+def _additive_blocks(prices: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """The additive table of ``prices`` as (slice, block) pairs in mask order.
+    Block h is the doubling of the 12 low prices plus h's high prices in bit
+    order: ``_doubled(0.0, prices, np.add, float)``'s sums, in its order."""
+    base, high = _doubled(0.0, prices[:12], np.add, float), prices[12:]
+    for h in range(1 << len(high)):
+        block = reduce(np.add, high[_member_flags(h, len(high))], base)
+        yield slice(h * base.size, (h + 1) * base.size), block
 
 
 def zeta_transform(values: np.ndarray) -> np.ndarray:

@@ -1118,6 +1118,18 @@ class TestVerifierAgainstOracle:
             lifted = bb.Gamble(sp, lifted)
             assert not self.check(side_certificate(sp, [lifted], layer_gambles(g)))
 
+    def test_overflowing_widths_fail_the_check(self):
+        # B on both sides: its width overflows to inf, so the +inf and -inf
+        # meet on {o1} as NaN, while X earns 1 > EXACT_TOL on every core.
+        # (The float oracle loses X's 1 against 1e308, so it is not asked.)
+        sp = space_of(2)
+        x = bb.Gamble(sp, [1.0, 1.0])
+        b = bb.Gamble(sp, [-1e308, 1e308])
+        cert = side_certificate(sp, [x, b], [b])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not bb.verify_certificate(SidePriced(sp, cert.xs), cert)
+            assert not bb.verify_certificate(bb.LinearModel(sp, np.array([0.5, 0.5])), cert)
+
     def test_full_deletion_family_at_fourteen_outcomes(self):
         # pair masses +eps and the full set -eps: every pair slack is zero and
         # every three-outcome slack is -eps, so the builder takes order 3
