@@ -6,13 +6,14 @@ superadditivity), can a ledger priced at the model's own quotes lose at
 every outcome, are the indicator prices additive (a probability), and do
 all prices come from a belief function via the Choquet integral.
 
-The last verdict inverts the indicator prices on the subset lattice and
-demands a nonnegative result. Choquet models (their own mass) and linear
-models (a probability) then agree with the Choquet integral by
-construction, and the duality probe checks their batch pricer; lower
-envelopes and other model objects must agree with the Choquet integral of
-their own indicator prices (the layer cake a gap certificate prices) on a
-seeded sample of gambles.
+The last verdict needs the Moebius inverse of the indicator prices to be
+nonnegative. Choquet models (their own mass) and linear models (a
+probability on the single outcomes) carry that inverse, so their audit reads
+it from the model, with no pass over the subset lattice; they agree with the
+Choquet integral by construction, and the duality probe checks their batch
+pricer. Lower envelopes and other model objects are inverted on the lattice,
+and must agree with the Choquet integral of their own indicator prices (the
+layer cake a gap certificate prices) on a seeded sample of gambles.
 Failures ship a :class:`ViolationCertificate`, two lists of gambles whose
 summed worst-case revenue is ordered one way for every two-valued
 valuation while the summed buy prices are ordered strictly the other way;
@@ -46,9 +47,9 @@ from .previsions import (
     _buy_blocks,
     _buy_each,
     _check_same_space,
-    _choquet_by_construction,
     _layer_cakes,
     _layer_table,
+    _own_mass,
 )
 from .setfn import (
     DEFAULT_TOL,
@@ -253,11 +254,12 @@ class ProbabilityCheck:
         return self.is_probability
 
 
-def _probability_verdict(f: SetFunction, tol: float) -> ProbabilityCheck:
+def _probability_verdict(values: np.ndarray, tol: float) -> ProbabilityCheck:
     """A probability iff every subset is priced within tol of the sum of its
-    outcome prices, summed block by block as the additive pricer sums them."""
-    n, values = f.space.n, f.values
-    offends = np.empty(f.space.size, dtype=bool)
+    outcome prices, summed block by block as the additive pricer sums them.
+    ``values`` is the dense table of indicator prices."""
+    n = values.size.bit_length() - 1
+    offends = np.empty(values.size, dtype=bool)
     for at, add in _additive_blocks(values[1 << np.arange(n)]):
         np.greater(np.abs(values[at] - add), tol, out=offends[at])
     offends[0] = False
@@ -281,9 +283,22 @@ def probability_check(pm: PriceModel, *, tol: float = DEFAULT_TOL) -> Probabilit
     prices. On failure the witness is (rest, single), ascending: the
     fewest-outcome, lowest offending union split at the outcome whose split
     gap is largest. That gap may be within tol when sub-tol gaps add up.
+    A linear model passes without a table: its prices are additive.
     """
     _check_tol(tol)
-    return _probability_verdict(induced_set_function(pm), tol)
+    return _model_probability(pm, _own_mass(pm), tol)
+
+
+def _model_probability(pm: PriceModel, own: MassFunction | None, tol: float) -> ProbabilityCheck:
+    """:func:`_probability_verdict` of the model's indicator prices, given its
+    own mass. A mass on single outcomes prices each subset at the sum of its
+    outcome prices, added in the order the verdict adds them, so it passes
+    with no table built; a Choquet model's table is its own, not copied."""
+    if own is None:
+        return _probability_verdict(induced_set_function(pm).values, tol)
+    if np.all(np.bitwise_count(own.mask_array) == 1):
+        return ProbabilityCheck(True)
+    return _probability_verdict(pm.induced_values(), tol)
 
 
 @dataclass(frozen=True)
@@ -524,21 +539,27 @@ def belief_consistency_audit(
     """Full audit: probes, sure-loss sampling, probability check, and the
     belief-consistency verdict with a verified certificate on failure.
 
-    Verdict steps: invert the indicator prices with one Moebius transform;
-    any weight below -tol yields a negative-mass certificate at the smallest
-    offending subset (ties broken toward later outcomes). Otherwise Choquet
-    and linear models are belief-consistent by construction and nothing is
-    sampled. Any other model's prices of the plan's sampled gambles are
-    compared with their layer cakes over the model's own indicator prices;
-    the largest disagreement beyond tol yields a pricing-gap certificate on
+    Verdict steps: a Choquet or linear model's recovered mass is its own
+    mass (a linear model's probability on the single outcomes), taken as
+    it is; it is belief-consistent by construction and nothing is inverted
+    or sampled. Any other model's indicator prices are inverted with one
+    Moebius transform; any weight below -tol yields a negative-mass
+    certificate at the smallest offending subset (ties broken toward later
+    outcomes). Otherwise its prices of the plan's sampled gambles are
+    compared with their layer cakes over its own indicator prices; the
+    largest disagreement beyond tol yields a pricing-gap certificate on
     those layers. Certificates are verified before they are returned.
     """
     space = pm.space
     probe_report = coherence_probe(pm, plan, tol=tol)
-    induced = induced_set_function(pm)
-    reading = _MobiusReading(induced, tol)
-    inverted = reading.mass()
-    prob = _probability_verdict(induced, tol)
+    own = _own_mass(pm)
+    if own is None:
+        induced = induced_set_function(pm)
+        reading = _MobiusReading(induced, tol)
+        inverted = reading.mass()
+        prob = _probability_verdict(induced.values, tol)
+    else:
+        inverted, prob = own, _model_probability(pm, own, tol)
     sure_worst = _sampled_sure_loss(pm, plan)
 
     certificate: ViolationCertificate | None = None
@@ -551,7 +572,7 @@ def belief_consistency_audit(
             )
         certificate = certificate_from_negative_mass(induced, subset, tol=tol)
         consistent = False
-    elif not _choquet_by_construction(pm):
+    elif own is None:
         samples = sample_gambles(space, plan)
         gaps = np.abs(buy_batch(pm, samples) - _layer_cakes(induced.values, samples))
         worst = int(np.argmax(gaps))

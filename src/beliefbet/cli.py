@@ -48,6 +48,7 @@ from .previsions import (
     buy,
     induced_set_function,
     sell,
+    _own_mass,
 )
 from .setfn import (
     DEFAULT_TOL,
@@ -390,6 +391,13 @@ def _listing_lines(listing: _Listing) -> list[str]:
     return [f"{{{k}}}: {_fmt(v)}" for k, v in zip(keys, listing.values.tolist())]
 
 
+def _mass_output(args: argparse.Namespace, mass: MassFunction) -> Iterable[str]:
+    """The ``transform --to mass`` listing of a mass function."""
+    if args.format == "machine":
+        return _machine({"space": list(mass.space.labels), "kind": "mass", "mass": _mass_listing(mass)})
+    return _human(_listing_lines(_mass_listing(mass)))
+
+
 # -------------------------------------------------------------- commands
 
 
@@ -411,7 +419,11 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if kind == "belief":
         table = _set_function_from(doc, space)
     elif kind in _MODEL_KINDS:
-        table = induced_set_function(_model_from(doc))
+        pm = _model_from(doc)
+        own = _own_mass(pm)
+        if own is not None:  # a Choquet or linear model lists its own mass
+            return 0, _mass_output(args, own)
+        table = induced_set_function(pm)
     else:
         raise SchemaError(
             f"direction 'mass' needs a belief table or model document, got kind {kind!r}"
@@ -419,9 +431,7 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     reading = _MobiusReading(table, args.tol)
     result = reading.mass()
     if isinstance(result, MassFunction):
-        if args.format == "machine":
-            return 0, _machine({"space": list(space.labels), "kind": "mass", "mass": _mass_listing(result)})
-        return 0, _human(_listing_lines(_mass_listing(result)))
+        return 0, _mass_output(args, result)
     visible = np.flatnonzero(np.abs(reading.mob) > EXACT_TOL)
     mobius = _Listing(space, visible, reading.mob[visible])
     if args.format == "machine":

@@ -46,7 +46,6 @@ from .setfn import (
     _butterfly,
     _frozen,
     _member_flags,
-    zeta_transform,
 )
 
 
@@ -227,7 +226,8 @@ class ChoquetModel:
         return table[0].copy()
 
     def induced_values(self) -> np.ndarray:
-        return zeta_transform(self.mass.as_dense())
+        # the zeta transform of the dense mass, summed in place
+        return _butterfly(self.mass.as_dense(), np.add)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,10 +275,22 @@ def _row_exact(pm: PriceModel) -> bool:
     return isinstance(pm, ChoquetModel)
 
 
+def _own_mass(pm: PriceModel) -> MassFunction | None:
+    """The Moebius inverse of the model's indicator prices, read from the
+    model itself: a Choquet model's mass, or a linear model's probability on
+    its single outcomes. None for any other model, whose inverse takes the
+    lattice."""
+    if isinstance(pm, ChoquetModel):
+        return pm.mass
+    if isinstance(pm, LinearModel):
+        return MassFunction(pm.space, {1 << i: p for i, p in enumerate(pm.prob.tolist()) if p > 0.0})
+    return None
+
+
 def _choquet_by_construction(pm: PriceModel) -> bool:
-    """Whether every price is a Choquet value by definition: under a Choquet
-    model's own mass, or a linear model's probability. Others are sampled."""
-    return isinstance(pm, (ChoquetModel, LinearModel))
+    """Whether every price is a Choquet value by definition: the models that
+    carry their own mass. Others are sampled."""
+    return _own_mass(pm) is not None
 
 
 def _buy_each(pm: PriceModel, payoffs: np.ndarray) -> np.ndarray:

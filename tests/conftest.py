@@ -115,6 +115,16 @@ def wide_mass(rng, n, focal):
     return bb.MassFunction(space, {m: float(w) / total for m, w in zip(masks, raw)})
 
 
+def dense_choquet(n, weight=0.9e-9):
+    """A Choquet model with ``weight`` on every subset of two or more of n
+    outcomes and the rest shared by the singletons."""
+    sp = bb.make_space([f"w{i}" for i in range(n)])
+    k = sp.size - 1 - n
+    weights = {m: weight for m in range(1, sp.size) if m.bit_count() >= 2}
+    weights.update({1 << i: (1.0 - k * weight) / n for i in range(n)})
+    return bb.ChoquetModel(bb.MassFunction(sp, weights))
+
+
 def tied_payoffs(rng, rows, n):
     """Rows drawn from a pool of six values, two negative, two positive and
     both zeros, so that ties, signed zeros and rounded products all occur."""

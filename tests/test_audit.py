@@ -15,6 +15,7 @@ import beliefbet as bb
 import beliefbet.audit
 from beliefbet.previsions import _buy_blocks, _buy_each, _choquet_by_construction
 from conftest import (
+    dense_choquet,
     mass_functions,
     probability_vectors,
     random_mass,
@@ -511,7 +512,7 @@ class TestPrimaryWitness:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            check = beliefbet.audit._probability_verdict(f, 1e-9)
+            check = beliefbet.audit._probability_verdict(f.values, 1e-9)
             transient = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -523,16 +524,6 @@ class TestPrimaryWitness:
         gaps = [abs(f.values[union] - f.values[union ^ s] - f.values[s]) for s in singles]
         single = singles[int(np.argmax(gaps))]
         assert check.witness == tuple(sorted((single, union ^ single)))
-
-
-def dense_choquet(n, weight=0.9e-9):
-    """A Choquet model with ``weight`` on every subset of two or more of n
-    outcomes and the rest shared by the singletons."""
-    sp = bb.make_space([f"w{i}" for i in range(n)])
-    k = sp.size - 1 - n
-    weights = {m: weight for m in range(1, sp.size) if m.bit_count() >= 2}
-    weights.update({1 << i: (1.0 - k * weight) / n for i in range(n)})
-    return bb.ChoquetModel(bb.MassFunction(sp, weights))
 
 
 class TestProbabilityVerdict:
@@ -597,6 +588,28 @@ class TestProbabilityVerdict:
         additive = math.fsum(values[1 << i] for i in range(n) if (a | b) >> i & 1)
         assert a & b == 0 and abs(values[a | b] - additive) > 1e-9
         assert values[-1] - math.fsum(values[1 << np.arange(n)].tolist()) > 2e-7
+
+    def test_linear_models_need_no_table(self, monkeypatch):
+        # a linear model's indicator prices are the additive sums themselves,
+        # so the table rule passes them; probability_check says so unbuilt
+        rng = np.random.default_rng(63)
+        cases = []
+        for _ in range(40):
+            p = rng.uniform(0.05, 1.0, int(rng.integers(1, 13)))
+            p[rng.random(p.size) < 0.3] = 0.0
+            p[-1] += 0.05
+            pm = bb.LinearModel(space_of(p.size), p / math.fsum(p.tolist()))
+            for tol in (0.0, 1e-12, 1e-9):
+                table = beliefbet.audit._probability_verdict(bb.induced_set_function(pm).values, tol)
+                cases.append((pm, tol, (table.is_probability, table.witness)))
+
+        def no_table(model):
+            raise AssertionError("the indicator table was built")
+
+        monkeypatch.setattr(bb.LinearModel, "induced_values", no_table)
+        for pm, tol, table in cases:
+            check = bb.probability_check(pm, tol=tol)
+            assert (check.is_probability, check.witness) == table == (True, None)
 
     def test_dense_audit_is_not_a_probability(self):
         report = bb.belief_consistency_audit(dense_choquet(8), bb.SamplePlan(num_samples=16))
@@ -1421,7 +1434,8 @@ class TestCertificateWeight:
 
 class TestVerdictsDoNotDependOnEncoding:
     """At the default tol, one pricing functional written as different
-    documents gets the same verdict; a probability is one at tol 0 too."""
+    documents gets the same verdict; a probability is one at tol 0 too, and
+    a linear model and its singleton mass agree at every tol."""
 
     @given(st.integers(1, 5).flatmap(probability_vectors))
     def test_probability_as_linear_envelope_and_singleton_mass(self, p):
@@ -1439,6 +1453,27 @@ class TestVerdictsDoNotDependOnEncoding:
         for pm in (bb.LinearModel(sp, p), bb.LowerEnvelopeModel(sp, p[None]), bb.ChoquetModel(singletons)):
             check = bb.probability_check(pm, tol=0.0)
             assert check.is_probability and check.witness is None, pm.kind
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+    def test_linear_and_its_singleton_mass_at_every_tol(self, tol):
+        # both carry the mass of p on the single outcomes, so neither
+        # inverts a table and neither meets roundoff at tol 0
+        rng = np.random.default_rng(90)
+        plan = bb.SamplePlan(num_samples=8)
+        for n in range(2, 13):
+            for _ in range(3):
+                p = rng.uniform(0.05, 1.0, n)
+                p[rng.random(n) < 0.3] = 0.0
+                p[-1] += 0.05
+                p /= math.fsum(p.tolist())
+                sp = space_of(n)
+                singletons = bb.MassFunction(sp, {1 << i: w for i, w in enumerate(p.tolist()) if w > 0.0})
+                linear, choquet = (bb.belief_consistency_audit(pm, plan, tol=tol)
+                                   for pm in (bb.LinearModel(sp, p), bb.ChoquetModel(singletons)))
+                assert linear.is_belief_consistent and choquet.is_belief_consistent
+                assert linear.induced_mass.weights == choquet.induced_mass.weights == singletons.weights
+                assert (linear.is_probability, linear.probability_witness) == (True, None)
+                assert (choquet.is_probability, choquet.probability_witness) == (True, None)
 
     @given(mass_functions(max_n=5))
     def test_mass_as_choquet_and_as_its_core_vertices(self, m):

@@ -3,16 +3,22 @@
 import hashlib
 import json
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import beliefbet as bb
 import beliefbet.audit
 import beliefbet.cli
+import beliefbet.previsions
 import beliefbet.setfn
 from beliefbet.cli import main
-from conftest import random_model, space_of
+from conftest import dense_choquet, mass_functions, random_model, space_of, wide_mass
 
 
 REFERENCE_MODEL = {
@@ -21,8 +27,9 @@ REFERENCE_MODEL = {
     "rows": [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]],
 }
 
-#: A Choquet model whose price on a sampled gamble differs from the Choquet
-#: price of its recovered mass by a roundoff 2.2e-16, more than --tol 0.
+#: A Choquet model whose weights do not survive the zeta and Moebius round
+#: trip bit for bit: {a,b} comes back as 0.20000000000000004. Its audit and
+#: its transform read the model's own mass, so --tol 0 meets no roundoff.
 ZERO_TOL_CHOQUET = {
     "space": ["a", "b", "c"],
     "kind": "choquet",
@@ -438,18 +445,42 @@ class TestSingleMobiusPass:
         return calls
 
     def test_one_pass_per_audit(self, mobius_calls):
+        # a Choquet or linear model carries its own mass: only the envelope is inverted
         sp = bb.make_space(REFERENCE_MODEL["space"])
         consistent = bb.ChoquetModel(bb.MassFunction(sp, {0b0011: 0.4, 0b1110: 0.6}))
+        linear = bb.LinearModel(sp, np.array([0.1, 0.2, 0.3, 0.4]))
         negative = bb.LowerEnvelopeModel(sp, np.array(REFERENCE_MODEL["rows"]))
-        for pm, verdict in ((consistent, True), (negative, False)):
+        for pm, verdict, passes in ((consistent, True, 0), (linear, True, 0), (negative, False, 1)):
             mobius_calls.clear()
             assert bb.belief_consistency_audit(pm).is_belief_consistent is verdict
-            assert len(mobius_calls) == 1
+            assert len(mobius_calls) == passes, pm.kind
 
     def test_one_pass_per_transform_to_mass(self, tmp_path, capsys, mobius_calls):
         path = write(tmp_path, "model.json", REFERENCE_MODEL)
         assert main(["transform", path, "--to", "mass"]) == 0
         assert len(mobius_calls) == 1
+
+    def test_no_pass_per_own_mass_transform(self, tmp_path, capsys, monkeypatch, mobius_calls):
+        lattice_calls = []
+        for name in ("zeta_transform", "_butterfly"):
+            original = getattr(beliefbet.setfn, name)
+
+            def counting(*args, original=original, name=name):
+                lattice_calls.append(name)
+                return original(*args)
+
+            for module in (beliefbet.setfn, beliefbet.previsions, beliefbet.audit, beliefbet.cli):
+                monkeypatch.setattr(module, name, counting, raising=False)
+        documents = [ZERO_TOL_CHOQUET, {"space": ["a", "b", "c"], "kind": "linear", "prob": [0.5, 0.0, 0.5]}]
+        for k, doc in enumerate(documents):
+            path = write(tmp_path, f"model{k}.json", doc)
+            for fmt in ("human", "machine"):
+                assert main(["transform", path, "--to", "mass", "--format", fmt]) == 0
+        assert mobius_calls == [] and lattice_calls == []
+        listings = capsys.readouterr().out
+        # the model's own weights, which the round trip gives back as 0.20000000000000004
+        assert "{a,b}: 0.20000000000000001\n" in listings
+        assert '"mass": {\n    "a": 0.5,\n    "c": 0.5\n  }' in listings
 
     def test_one_pass_per_library_verdict(self, mobius_calls):
         sp = bb.make_space(REFERENCE_MODEL["space"])
@@ -464,6 +495,103 @@ class TestSingleMobiusPass:
             mobius_calls.clear()
             bb.probability_check(pm)
             assert len(mobius_calls) == 0  # it reads the induced table only
+
+
+def own_mass_document(pm):
+    """The model document of a linear or Choquet model, every float exact."""
+    labels = list(pm.space.labels)
+    if pm.kind == "linear":
+        return {"space": labels, "kind": "linear", "prob": pm.prob.tolist()}
+    keys = beliefbet.cli.subset_keys(labels, pm.mass.mask_array)
+    return {"space": labels, "kind": "choquet", "mass": dict(zip(keys, pm.mass.weight_array.tolist()))}
+
+
+def expected_own_mass(pm):
+    """(masks, weight bits) of the mass a model carries: a Choquet model's
+    focal sets, or a linear model's positive outcome probabilities."""
+    if pm.kind == "linear":
+        masks = [1 << i for i, p in enumerate(pm.prob.tolist()) if p > 0.0]
+        weights = [p for p in pm.prob.tolist() if p > 0.0]
+    else:
+        masks, weights = pm.mass.mask_array.tolist(), pm.mass.weight_array.tolist()
+    return masks, [w.hex() for w in weights]
+
+
+@st.composite
+def own_mass_models(draw):
+    """A linear model with some zero entries, or a Choquet model, on 1 to 10 outcomes."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.sampled_from([0.0, 0.25]) | st.floats(0.05, 1.0), min_size=n, max_size=n))
+        if not any(raw):
+            raw[-1] = 1.0
+        total = math.fsum(raw)
+        return bb.LinearModel(space_of(n), np.array([w / total for w in raw]))
+    return bb.ChoquetModel(draw(mass_functions(space=space_of(n), max_focal=12)))
+
+
+class TestOwnMass:
+    """Choquet and linear models carry their Moebius inverse: the audit and
+    ``transform --to mass`` read it from the model, exactly and with no
+    table over the subset lattice."""
+
+    N = 20
+    #: A bound far below one 8 * 2^20-byte table; these paths peak at 72-191 KB.
+    SMALL = 1 << 20
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def test_footprint(self, tmp_path):
+        rng = np.random.default_rng(20)
+        choquet = bb.ChoquetModel(wide_mass(rng, self.N, 64))
+        p = rng.uniform(0.0, 1.0, self.N)
+        p[::3] = 0.0
+        linear = bb.LinearModel(choquet.space, p / math.fsum(p.tolist()))
+        out = str(tmp_path / "out.txt")
+        for pm in (choquet, linear):
+            path = write(tmp_path, f"{pm.kind}.json", own_mass_document(pm))
+            for fmt in ("human", "machine"):
+                argv = ["transform", path, "--to", "mass", "--format", fmt, "--out", out]
+                assert self.traced_peak(lambda: main(argv)) < self.SMALL, (pm.kind, fmt)
+        plan = bb.SamplePlan(num_samples=16)
+        assert self.traced_peak(lambda: bb.belief_consistency_audit(linear, plan)) < self.SMALL
+        # the Choquet audit holds its one float table of indicator prices and
+        # the verdict's two byte tables; inverting that table on the lattice
+        # peaked at 18.29 bytes per subset on this model and plan
+        peak = self.traced_peak(lambda: bb.belief_consistency_audit(choquet, plan))
+        assert peak <= (18.29 - 8) * (1 << self.N)
+
+    @given(own_mass_models(), st.sampled_from([0.0, 1e-12, 1e-9]))
+    @example(dense_choquet(8), 0.0)
+    @example(dense_choquet(8), 1e-12)
+    @example(dense_choquet(8), 1e-9)
+    def test_exact_and_agreeing(self, pm, tol):
+        masks, weights = expected_own_mass(pm)
+        report = bb.belief_consistency_audit(pm, bb.SamplePlan(num_samples=8), tol=tol)
+        assert report.induced_mass.mask_array.tolist() == masks
+        assert [w.hex() for w in report.induced_mass.weight_array.tolist()] == weights
+        assert report.is_belief_consistent and report.certificate is None
+        want = beliefbet.audit._probability_verdict(bb.induced_set_function(pm).values, tol)
+        assert (report.is_probability, report.probability_witness) == (want.is_probability, want.witness)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(own_mass_document(pm), fh)
+            out = os.path.join(tmp, "mass.json")
+            argv = ["transform", path, "--to", "mass", "--format", "machine", "--tol", repr(tol), "--out", out]
+            assert main(argv) == 0
+            with open(out, encoding="utf-8") as fh:
+                listing = json.load(fh)["mass"]
+        assert [beliefbet.cli.parse_subset_key(pm.space, key) for key in listing] == masks
+        assert [w.hex() for w in listing.values()] == weights
 
 
 def near_tie_envelope(seed):
