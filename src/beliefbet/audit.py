@@ -58,7 +58,7 @@ from .setfn import (
     NegativeMassReport,
     OutcomeSpace,
     SetFunction,
-    _MobiusReading,
+    belief_to_mass,
     _additive_blocks,
     _butterfly,
     _check_tol,
@@ -283,17 +283,13 @@ def probability_check(pm: PriceModel, *, tol: float = DEFAULT_TOL) -> Probabilit
     prices. On failure the witness is (rest, single), ascending: the
     fewest-outcome, lowest offending union split at the outcome whose split
     gap is largest. That gap may be within tol when sub-tol gaps add up.
-    A linear model passes without a table: its prices are additive.
+    A model's own mass on single outcomes (a linear model's) prices each
+    subset at the sum of its outcome prices, added in the order the verdict
+    adds them, so it passes with no table built; a Choquet model's table is
+    its own, not copied.
     """
     _check_tol(tol)
-    return _model_probability(pm, _own_mass(pm), tol)
-
-
-def _model_probability(pm: PriceModel, own: MassFunction | None, tol: float) -> ProbabilityCheck:
-    """:func:`_probability_verdict` of the model's indicator prices, given its
-    own mass. A mass on single outcomes prices each subset at the sum of its
-    outcome prices, added in the order the verdict adds them, so it passes
-    with no table built; a Choquet model's table is its own, not copied."""
+    own = _own_mass(pm)
     if own is None:
         return _probability_verdict(induced_set_function(pm).values, tol)
     if np.all(np.bitwise_count(own.mask_array) == 1):
@@ -533,52 +529,55 @@ def _sampled_sure_loss(pm: PriceModel, plan: SamplePlan) -> float:
     return worst
 
 
-def belief_consistency_audit(
-    pm: PriceModel, plan: SamplePlan = SamplePlan(), *, tol: float = DEFAULT_TOL
-) -> AuditReport:
-    """Full audit: probes, sure-loss sampling, probability check, and the
-    belief-consistency verdict with a verified certificate on failure.
-
-    Verdict steps: a Choquet or linear model's recovered mass is its own
-    mass (a linear model's probability on the single outcomes), taken as
-    it is; it is belief-consistent by construction and nothing is inverted
-    or sampled. Any other model's indicator prices are inverted with one
-    Moebius transform; any weight below -tol yields a negative-mass
-    certificate at the smallest offending subset (ties broken toward later
-    outcomes). Otherwise its prices of the plan's sampled gambles are
-    compared with their layer cakes over its own indicator prices; the
-    largest disagreement beyond tol yields a pricing-gap certificate on
-    those layers. Certificates are verified before they are returned.
-    """
-    space = pm.space
-    probe_report = coherence_probe(pm, plan, tol=tol)
-    own = _own_mass(pm)
-    if own is None:
-        induced = induced_set_function(pm)
-        reading = _MobiusReading(induced, tol)
-        inverted = reading.mass()
-        prob = _probability_verdict(induced.values, tol)
-    else:
-        inverted, prob = own, _model_probability(pm, own, tol)
-    sure_worst = _sampled_sure_loss(pm, plan)
-
-    certificate: ViolationCertificate | None = None
-    consistent = True
+def _lattice_certificate(pm: PriceModel, induced: SetFunction, inverted: MassFunction | NegativeMassReport,
+                         plan: SamplePlan, tol: float) -> ViolationCertificate | None:
+    """The certificate of a model inverted on the lattice, or None if it has
+    none. A weight below -tol gives a negative-mass certificate at the
+    fewest-outcome offending subset of two or more outcomes (ties broken
+    toward later outcomes). Otherwise the model's prices of the plan's
+    sampled gambles are compared with their layer cakes over ``induced``, and
+    the largest gap beyond tol gives a pricing-gap certificate."""
     if isinstance(inverted, NegativeMassReport):
-        subset = _fewest_outcomes(reading.negative, least=2)
+        subset = _fewest_outcomes(inverted.masks, least=2)
         if subset.bit_count() < 2:
             raise BeliefBetError(
                 "only singleton weights are negative; the model is outside the coherent family"
             )
-        certificate = certificate_from_negative_mass(induced, subset, tol=tol)
-        consistent = False
-    elif own is None:
-        samples = sample_gambles(space, plan)
-        gaps = np.abs(buy_batch(pm, samples) - _layer_cakes(induced.values, samples))
-        worst = int(np.argmax(gaps))
-        if gaps[worst] > tol:
-            certificate = certificate_from_choquet_gap(pm, Gamble(space, samples[worst]), tol=tol)
-            consistent = False
+        return certificate_from_negative_mass(induced, subset, tol=tol)
+    samples = sample_gambles(pm.space, plan)
+    gaps = np.abs(buy_batch(pm, samples) - _layer_cakes(induced.values, samples))
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > tol:
+        return certificate_from_choquet_gap(pm, Gamble(pm.space, samples[worst]), tol=tol)
+    return None
+
+
+def belief_consistency_audit(
+    pm: PriceModel, plan: SamplePlan = SamplePlan(), *, tol: float = DEFAULT_TOL
+) -> AuditReport:
+    """Full audit, in stages:
+
+    * probes: :func:`coherence_probe` (which rejects a bad ``tol`` before any
+      table is built), then the sampled sure-loss ledgers;
+    * own mass: a Choquet or linear model's recovered mass is its own, its
+      probability verdict is :func:`probability_check`, and it is
+      belief-consistent by construction, so nothing is inverted or sampled;
+    * lattice: any other model's indicator table is inverted by
+      :func:`belief_to_mass` and decides its probability verdict;
+    * certificate: :func:`_lattice_certificate` of the inverted table, checked
+      by :func:`verify_certificate`; the model is belief-consistent iff it
+      has none.
+    """
+    probe_report = coherence_probe(pm, plan, tol=tol)
+    sure_worst = _sampled_sure_loss(pm, plan)
+    own = _own_mass(pm)
+    if own is not None:
+        inverted, prob, certificate = own, probability_check(pm, tol=tol), None
+    else:
+        induced = induced_set_function(pm)
+        inverted = belief_to_mass(induced, tol=tol)
+        prob = _probability_verdict(induced.values, tol)
+        certificate = _lattice_certificate(pm, induced, inverted, plan, tol)
 
     verified: bool | None = None
     if certificate is not None:
@@ -587,7 +586,7 @@ def belief_consistency_audit(
             raise BeliefBetError("internal error: emitted certificate failed verification")
 
     return AuditReport(
-        space=space,
+        space=pm.space,
         model_kind=getattr(pm, "kind", type(pm).__name__),
         plan=plan,
         tolerances={"tol": tol, "exact_tol": EXACT_TOL},
@@ -595,7 +594,7 @@ def belief_consistency_audit(
         sure_loss_worst=sure_worst,
         is_probability=prob.is_probability,
         probability_witness=prob.witness,
-        is_belief_consistent=consistent,
+        is_belief_consistent=certificate is None,
         induced_mass=inverted,
         certificate=certificate,
         certificate_verified=verified,

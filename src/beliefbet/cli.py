@@ -537,9 +537,9 @@ def _report_lines(report: AuditReport) -> list[str]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    plan = SamplePlan(num_samples=args.samples, seed=args.seed)
     doc, data = _read_document(args.model)
     pm = _model_from(doc)
-    plan = SamplePlan(num_samples=args.samples, seed=args.seed)
     report = belief_consistency_audit(pm, plan, tol=args.tol)
     code = 0 if report.is_belief_consistent else 1
     if args.format == "machine":

@@ -287,12 +287,6 @@ def _own_mass(pm: PriceModel) -> MassFunction | None:
     return None
 
 
-def _choquet_by_construction(pm: PriceModel) -> bool:
-    """Whether every price is a Choquet value by definition: the models that
-    carry their own mass. Others are sampled."""
-    return _own_mass(pm) is not None
-
-
 def _buy_each(pm: PriceModel, payoffs: np.ndarray) -> np.ndarray:
     """float(pm.buy_payoff(row)) for every row, bit for bit."""
     if not _row_exact(pm):

@@ -435,12 +435,13 @@ def is_belief_function(f: _TableLike, *, tol: float = DEFAULT_TOL) -> BeliefChec
     and, when it has at least two outcomes, the family of its one-element
     deletions, whose inclusion-exclusion slack equals the negative weight.
     """
-    reading = _MobiusReading(f, tol)
+    _check_tol(tol)
     values = f.values
     if abs(values[0]) > EXACT_TOL:
         return BeliefCheck(False, reason=f"empty set must map to 0, got {float(values[0])!r}")
     if abs(values[-1] - 1.0) > EXACT_TOL:
         return BeliefCheck(False, reason=f"full set must map to 1, got {float(values[-1])!r}")
+    reading = _MobiusReading(f, tol)
     if not reading.negative.size:
         return BeliefCheck(True)
     subset = _fewest_outcomes(reading.negative)

@@ -383,6 +383,19 @@ class TestBadFlags:
             assert main(commands["audit"] + ["--samples", samples]) == 2
             assert "num_samples must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "0", "num_samples must be at least 1"),
+        ("--seed", "-1", "seed cannot be negative, got -1"),
+    ])
+    def test_plan_is_rejected_before_the_model_is_read(self, tmp_path, capsys, flag, value, message):
+        missing = str(tmp_path / "missing.json")
+        assert main(["audit", missing, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"beliefbet: {message}\n")
+        # an unwritable --out is still found first
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["audit", missing, flag, value, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"beliefbet: schema error: cannot write {out}: ")
+
 
 class TestDutchbook:
     def test_model_priced_ledger(self, tmp_path, capsys):

@@ -349,6 +349,23 @@ class TestIsBeliefFunction:
         check = bb.is_belief_function(bad_full)
         assert not check and "full" in check.reason
 
+    def test_endpoint_failures_invert_nothing(self, monkeypatch):
+        # the endpoints are read before the one Moebius pass, and a bad tol
+        # before the endpoints
+        calls, original = [], beliefbet.setfn.mobius_transform
+        monkeypatch.setattr(beliefbet.setfn, "mobius_transform",
+                            lambda values: calls.append(len(values)) or original(values))
+        sp = space_of(2)
+        bad_empty, bad_full, negative = (bb.SetFunction(sp, np.array(values)) for values in
+                                         ([0.5, 0.5, 0.5, 1.0], [0.0, 0.5, 0.5, 0.7], [0.0, 0.75, 0.5, 1.0]))
+        for f in (bad_empty, bad_full):
+            assert not bb.is_belief_function(f)
+            with pytest.raises(bb.BeliefBetError, match="tol must be a finite number"):
+                bb.is_belief_function(f, tol=-1.0)
+        assert calls == []
+        assert bb.is_belief_function(negative).negative_subset == 3
+        assert calls == [4]
+
     def test_reasons_print_plain_floats(self):
         sp = space_of(2)
         reasons = [
