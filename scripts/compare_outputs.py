@@ -20,14 +20,21 @@ and below ``--docs 466`` document 465, a near-copy envelope on 10 outcomes
 whose default audit reports a probability witness split away from its
 union's lowest outcome: of the three splits of {o1,o3,o7} only the one at
 o7 is priced more than tol from additive. Its certificate takes 16 gambles.
-Three more documents are run at every count. Two are core-vertex
+Five more documents are run at every count. Two are core-vertex
 envelopes on 5 outcomes: the lower envelope of all 120 vertices of the core
 of a belief function with positive mass on every nonempty subset, and the
 same envelope with one vertex dropped, whose sampled default audit calls it
 belief-consistent although the missing vertex prices a gamble above its
 Choquet value. The third is a Choquet model on 8 outcomes with 0.9e-9 on
 each of its 247 subsets of two or more outcomes: no weight exceeds tol, but
-its prices are not additive within tol, so it is not a probability.
+its prices are not additive within tol, so it is not a probability. The
+last two, the high-byte documents, have subset keys that name outcomes 16
+and up, the third byte of a mask, which no other document has: a Choquet
+model on 18 escaped labels whose focal sets hold outcomes 16 and 17 (its
+belief table lists all 2^18 keys) and a 4-row lower envelope on 17
+outcomes whose negative-mass listing names outcome 16. Their listings are
+long, so they are audited and transformed with the first flag set below
+only.
 
 Every model document is audited in human and machine format, with default
 flags, with ``--seed 7 --samples 64 --tol 1e-7`` and with ``--tol 0``, and it
@@ -37,10 +44,11 @@ from a stream of their own, so they change no draw of the model documents.
 Every document goes through ``transform --to mass`` in both formats at
 ``--tol`` 1e-9, 1e-12 and 0, and every Choquet document through ``transform
 --to belief`` in both formats. So a Choquet document gives 18 runs, any
-other model document 16 and a belief table 6: 5,280 at the default ``--docs
-400`` (404 documents, with 465, the two core-vertex envelopes and the dense
-Choquet model) and 238 at ``--docs 12`` (17 documents, with 183, 465, the
-core-vertex envelopes and the dense Choquet model).
+other model document 16 and a belief table 6, and the high-byte Choquet
+model 10 and envelope 8: 5,298 at the default ``--docs 400`` (406
+documents, with 465, the two core-vertex envelopes, the dense Choquet model
+and the two high-byte documents) and 256 at ``--docs 12`` (19 documents,
+with 183 and 465 as well).
 The ``--seed 7`` audits and the ``--tol 1e-12`` transforms write through
 ``--out``, each runner to its own file; for them the file's text is the
 output, and their stdout, which must stay empty, is compared as well.
@@ -89,6 +97,13 @@ VERTEX_DROPPED = 11
 DENSE_KIND = "dense_choquet"
 DENSE_N = 8
 DENSE_WEIGHT = 0.9e-9
+#: The kind of the documents whose subset keys name outcomes 16 and up, the
+#: third byte of a mask; the focal sets of its Choquet model on
+#: HIGH_CHOQUET_N outcomes and the outcome count of its envelope.
+HIGH_KIND = "high_byte"
+HIGH_CHOQUET_N = 18
+HIGH_FOCAL = ((16,), (17,), (0, 16), (8, 17), (1, 9, 16, 17), tuple(range(HIGH_CHOQUET_N)))
+HIGH_ENVELOPE_N = 17
 
 #: Stands for the runner's own output file in a job's argument vector.
 OUT = "<out>"
@@ -260,10 +275,28 @@ def dense_choquet_document() -> dict:
             "mass": {_key(labels, int(m)): float(w) for m, w in zip(masks, weights)}}
 
 
+def high_byte_documents() -> tuple[dict, dict]:
+    """A Choquet model on ``HIGH_CHOQUET_N`` escaped labels with its focal sets
+    in ``HIGH_FOCAL``, weights drawn by ``default_rng(HIGH_CHOQUET_N)``, and a
+    4-row envelope on ``HIGH_ENVELOPE_N`` outcomes, rows drawn by
+    ``default_rng(HIGH_ENVELOPE_N)``, whose negative-mass listing names
+    outcome 16."""
+    n = HIGH_CHOQUET_N
+    labels = [f"{ESCAPED_STEMS[i % len(ESCAPED_STEMS)]}{i}" for i in range(n)]
+    weights = _normalized(np.random.default_rng(n).uniform(0.05, 1.0, len(HIGH_FOCAL)))
+    choquet = {"space": labels, "kind": "choquet",
+               "mass": {",".join(labels[i] for i in focal): float(w)
+                        for focal, w in zip(HIGH_FOCAL, weights)}}
+    n = HIGH_ENVELOPE_N
+    rows = [_normalized(row).tolist() for row in np.random.default_rng(n).uniform(0.05, 1.0, (4, n))]
+    return choquet, {"space": [f"o{i}" for i in range(n)], "kind": "lower_envelope", "rows": rows}
+
+
 def make_bets(seed: int, index: int, labels: list[str], stream: int = 1) -> tuple[dict, dict]:
     """Seeded gamble and ledger documents on the space of document ``index``,
-    drawn from a stream of their own (stream 2, indices 0 to 2, for the
-    core-vertex envelopes and the dense Choquet model).
+    drawn from a stream of their own (stream 2, indices 0 to 4, for the
+    core-vertex envelopes, the dense Choquet model and the high-byte
+    documents).
     Every other gamble is left unnamed, and the ledger holds 1-3 buys and 0-3
     sells at prices drawn on [-1, 1]."""
     rng = np.random.default_rng([seed, index, stream])
@@ -282,19 +315,20 @@ def make_bets(seed: int, index: int, labels: list[str], stream: int = 1) -> tupl
     return {"space": labels, "gambles": gambles}, ledger
 
 
-def jobs_for(doc: dict, path: str, gambles: str, ledger: str) -> list[list[str]]:
+def jobs_for(doc: dict, path: str, gambles: str, ledger: str, flag_sets: int = 3) -> list[list[str]]:
     """The runs of the document ``doc`` written at ``path``; ``gambles`` and
     ``ledger`` are the paths of its :func:`make_bets` documents, read when
-    ``doc`` is a model."""
+    ``doc`` is a model. Audits and ``transform --to mass`` take the first
+    ``flag_sets`` of their flag sets."""
     jobs = []
     if doc["kind"] != "belief":
-        for flags in AUDIT_FLAGS:
+        for flags in AUDIT_FLAGS[:flag_sets]:
             for fmt in FORMATS:
                 jobs.append(["audit", path, "--format", fmt, *flags])
         for fmt in FORMATS:
             jobs.append(["price", path, gambles, "--format", fmt])
             jobs.append(["dutchbook", path, ledger, "--format", fmt])
-    for flags in TRANSFORM_FLAGS:
+    for flags in TRANSFORM_FLAGS[:flag_sets]:
         for fmt in FORMATS:
             jobs.append(["transform", path, "--to", "mass", "--format", fmt, *flags])
     if doc["kind"] == "choquet":
@@ -353,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         corpus.append((name, VERTEX_KIND, doc, make_bets(CORPUS_SEED, k, doc["space"], stream=2)))
     dense = dense_choquet_document()
     corpus.append(("-dense", DENSE_KIND, dense, make_bets(CORPUS_SEED, 2, dense["space"], stream=2)))
+    for k, doc in enumerate(high_byte_documents(), start=3):
+        corpus.append((f"-high-{doc['kind']}", HIGH_KIND, doc,
+                       make_bets(CORPUS_SEED, k, doc["space"], stream=2)))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         jobs, kinds = [], []
@@ -360,7 +397,9 @@ def main(argv: list[str] | None = None) -> int:
             paths = [work / f"{stem}{name}.json" for stem in ("doc", "gambles", "ledger")]
             for path, written in zip(paths, (doc, *bets)):
                 path.write_text(json.dumps(written))
-            doc_jobs = jobs_for(doc, *map(str, paths))
+            # the high-byte documents take only the default flags: their long
+            # listings would make every other flag set cost seconds
+            doc_jobs = jobs_for(doc, *map(str, paths), flag_sets=1 if kind == HIGH_KIND else 3)
             jobs.extend(doc_jobs)
             kinds.extend([kind] * len(doc_jobs))
         digests = _run_both(work, jobs, base_src, "digest")
@@ -381,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
                 (f"exit {b[0]}", f"exit {h[0]}") if k == 0 else first_difference(b[k], h[k])
             )
             print(f"  base:   {base_line}\n  change: {head_line}")
-    tallies = {tol: {kind: Counter() for kind in (*KINDS, VERTEX_KIND, DENSE_KIND)}
+    tallies = {tol: {kind: Counter() for kind in (*KINDS, VERTEX_KIND, DENSE_KIND, HIGH_KIND)}
                for tol in (DEFAULT_TOL, 0.0)}
     for argv, kind, (code, *_) in zip(jobs, kinds, digests[0]):
         tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else DEFAULT_TOL

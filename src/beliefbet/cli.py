@@ -57,6 +57,7 @@ from .setfn import (
     OutcomeSpace,
     SetFunction,
     _MobiusReading,
+    _doubled,
     make_space,
     mass_to_belief,
 )
@@ -108,25 +109,47 @@ def _space_from(doc: dict) -> OutcomeSpace:
     return make_space(labels)
 
 
-def _byte_table(labels: Sequence[str]) -> list[str]:
-    """table[b] holds the labels of the bits set in b, each followed by a comma,
-    built by doubling one label at a time."""
-    table = [""]
-    for label in labels:
-        table += [key + label + "," for key in table]
-    return table
+def _key_tables(labels: Sequence[str], before: str = "", after: str = "") -> list[np.ndarray]:
+    """Object tables of key pieces, one per byte of a mask over ``labels``.
+
+    Entry b of byte j's table holds the labels of the bits set in b, joined
+    by commas. Below the top byte the table has a second half: entry 256 + b
+    is the same text with a trailing comma, for masks with a higher byte set.
+    Table 0's entries begin with ``before`` and the top table's end with
+    ``after``. Both halves are built by doubling, one label at a time."""
+    tables = []
+    for lo in range(0, len(labels), 8):
+        labs = labels[lo : lo + 8]
+        top = lo + 8 >= len(labels)
+        head, tail = before if lo == 0 else "", after if top else ""
+        trailing = _doubled(head, [label + "," for label in labs], np.add, object)
+        # the labels of J + 2^i are those of J, each followed by a comma, then label i
+        joined = np.empty_like(trailing)
+        joined[0] = head + tail
+        for i, label in enumerate(labs):
+            np.add(trailing[: 1 << i], label + tail, out=joined[1 << i : 2 << i])
+        tables.append(joined if top else np.concatenate([joined, trailing]))
+    return tables
+
+
+def _key_pieces(tables: list[np.ndarray], masks: np.ndarray) -> list[np.ndarray]:
+    """The key pieces of int64 ``masks``, one object array per table of
+    :func:`_key_tables`, each gathered with one fancy index."""
+    top = len(tables) - 1
+    pieces = [
+        table[(masks >> 8 * j & 255) | (masks >> 8 * (j + 1) > 0) << 8]
+        for j, table in enumerate(tables[:top])
+    ]
+    return pieces + [tables[top][masks >> 8 * top]]
 
 
 def subset_keys(labels: Sequence[str], masks: Sequence[int] | np.ndarray) -> list[str]:
     """:func:`subset_key` of every mask over a space with these labels (or with
-    their JSON-escaped texts, which gives the escaped keys). The tables are built
-    once per call, one per byte of a mask (three, as MAX_OUTCOMES is 24), so
-    each key is three lookups and one concatenation."""
-    low, mid, high = (_byte_table(labels[lo : lo + 8]) for lo in (0, 8, 16))
-    return [
-        (low[m & 255] + mid[m >> 8 & 255] + high[m >> 16])[:-1]
-        for m in np.asarray(masks, dtype=np.int64).tolist()
-    ]
+    their JSON-escaped texts, which gives the escaped keys): the byte pieces
+    of :func:`_key_pieces`, added elementwise. The tables are built on every
+    call."""
+    pieces = _key_pieces(_key_tables(labels), np.asarray(masks, dtype=np.int64))
+    return functools.reduce(np.add, pieces).tolist()
 
 
 def subset_key(space: OutcomeSpace, mask: int) -> str:
@@ -291,21 +314,33 @@ class _Listing:
 
 
 def _listing_text(listing: _Listing) -> Iterator[str]:
-    """The block as json.dumps(indent=2) writes it one level down, in chunks."""
+    """The block as json.dumps(indent=2) writes it one level down, in chunks
+    of _LISTING_CHUNK entries. The byte tables are built once per listing,
+    with the separator and opening quote before each key and the closing
+    quote and colon after it. A chunk is one join of its entries' pieces:
+    the key pieces gathered from those tables, then the value's
+    float.__repr__, as json writes it, or JSON's spelling of a nonfinite
+    value."""
     if not listing.masks.size:
         yield "{}"
         return
     # JSON escapes a string one character at a time, so a key built from the
     # escaped labels is the escaped key
     escaped = [encode_basestring_ascii(label)[1:-1] for label in listing.space.labels]
-    sep = "{\n    "
+    tables = _key_tables(escaped, ',\n    "', '": ')
+    width = len(tables) + 1
     for lo in range(0, listing.masks.size, _LISTING_CHUNK):
-        keys = subset_keys(escaped, listing.masks[lo : lo + _LISTING_CHUNK])
-        # the C encoder writes each float as json does (repr, NaN or Infinity),
-        # and no float text holds ", "
-        values = json.dumps(listing.values[lo : lo + _LISTING_CHUNK].tolist())[1:-1]
-        yield sep + ",\n    ".join([f'"{k}": {v}' for k, v in zip(keys, values.split(", "))])
-        sep = ",\n    "
+        values = listing.values[lo : lo + _LISTING_CHUNK]
+        texts = list(map(float.__repr__, values.tolist()))
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = json.dumps(float(values[i]))  # NaN, Infinity, -Infinity
+        pieces = [""] * (width * len(texts))
+        for j, column in enumerate(_key_pieces(tables, listing.masks[lo : lo + _LISTING_CHUNK])):
+            pieces[j::width] = column.tolist()
+        pieces[width - 1 :: width] = texts
+        if not lo:  # the first entry opens the block instead of following one
+            pieces[0] = "{" + pieces[0][1:]
+        yield "".join(pieces)
     yield "\n  }"
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -42,6 +43,7 @@ from .setfn import (
     MassFunction,
     OutcomeSpace,
     SetFunction,
+    _Built,
     _additive_blocks,
     _butterfly,
     _frozen,
@@ -261,9 +263,11 @@ class LowerEnvelopeModel:
         return (payoffs @ self.rows.T).min(axis=1)
 
     def induced_values(self) -> np.ndarray:
-        low = _additive_values(self.space, self.rows[0])
-        for row in self.rows[1:]:
-            np.minimum(low, _additive_values(self.space, row), out=low)
+        """The minimum over the rows' additive tables, taken block by block:
+        row 0's block first, then each other row's in order."""
+        low = np.empty(self.space.size)
+        for (at, block), *others in zip(*map(_additive_blocks, self.rows)):
+            low[at] = reduce(np.minimum, [other for _, other in others], block)
         return low
 
 
@@ -336,7 +340,7 @@ def choquet_expectation(mass: MassFunction, gamble: Gamble) -> float:
 
 def induced_set_function(pm: PriceModel) -> SetFunction:
     """Buy prices of all indicator gambles, as a dense set function."""
-    return SetFunction(pm.space, pm.induced_values())
+    return SetFunction(pm.space, pm.induced_values().view(_Built))
 
 
 def _layer_table(payoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,7 @@ pure function of its inputs, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -103,10 +104,15 @@ class OutcomeSpace:
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
+    @functools.cached_property
+    def _indices(self) -> dict[str, int]:
+        """Each label's position, looked up by :meth:`index_of`."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._indices[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise KeyError(f"unknown outcome label {label!r}") from None
 
     def mask_of(self, names: Iterable[str]) -> int:
@@ -230,14 +236,22 @@ def _subfamily_intersections(top: int, masks: Sequence[int]) -> tuple[np.ndarray
     return inter[1:], odd
 
 
+class _Built(np.ndarray):
+    """A view of a float table that no caller holds, one built here or the
+    frozen values of another table: a table constructor freezes it in place
+    instead of copying it."""
+
+
 def _dense_values(space: OutcomeSpace, values: np.ndarray, what: str) -> np.ndarray:
-    """A frozen float copy of a full 2^n table, checked for shape and finiteness."""
-    v = np.array(values, dtype=float)
+    """A frozen float full 2^n table, checked for shape and finiteness: a copy
+    of the values given, or the table a :class:`_Built` view shows."""
+    v = values.view(np.ndarray) if isinstance(values, _Built) else np.array(values, dtype=float)
     if v.shape != (space.size,):
         raise BeliefBetError(
             f"need {space.size} values for a {space.n}-outcome space, got shape {v.shape}"
         )
-    if not np.all(np.isfinite(v)):
+    # min and max show any NaN or infinity without a 2^n temporary
+    if not (np.isfinite(v.min()) and np.isfinite(v.max())):
         raise BeliefBetError(f"{what} values must be finite")
     return _frozen(v)
 
@@ -332,7 +346,7 @@ class BeliefFunction:
         object.__setattr__(self, "values", v)
 
     def as_set_function(self) -> SetFunction:
-        return SetFunction(self.space, self.values)
+        return SetFunction(self.space, self.values.view(_Built))
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +401,8 @@ _TableLike = Union[SetFunction, BeliefFunction]
 
 def mass_to_belief(m: MassFunction) -> BeliefFunction:
     """Accumulate focal weights over the lattice: Bel(A) = sum of m(C) for C inside A."""
-    return BeliefFunction(m.space, zeta_transform(m.as_dense()))
+    # the zeta transform of the dense mass, summed in place
+    return BeliefFunction(m.space, _butterfly(m.as_dense(), np.add).view(_Built))
 
 
 class _MobiusReading:

@@ -822,6 +822,73 @@ class TestMachineRenderer:
         assert keys == [",".join(sp.members(int(m))) for m in masks]
         assert [beliefbet.cli.subset_key(sp, int(m)) for m in masks[:40]] == keys[:40]
 
+    #: Floats whose text is easy to get wrong: JSON's spellings of the
+    #: nonfinite values, signed zero, the least subnormal, and values where
+    #: repr switches between plain and exponent notation.
+    EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e16, 1e22, -1.5, 0.1]
+
+    @staticmethod
+    def listing_case(n):
+        """An n-outcome space whose labels JSON escapes or that hold "%", "{"
+        and "}", and a listing on it: the empty set, the full set, every single
+        outcome and random masks, ascending, with every edge value (as many
+        as there are masks)."""
+        stems = [*ESCAPED_LABELS, "%", "{", "}"]
+        sp = bb.make_space([f"{stems[i % len(stems)]}{i}" for i in range(n)])
+        rng = np.random.default_rng(n)
+        masks = np.unique(np.concatenate([[0, sp.full_mask], 1 << np.arange(n),
+                                          rng.integers(0, sp.size, size=400)]))
+        values = rng.normal(size=masks.size) * 10.0 ** rng.integers(-300, 300, size=masks.size)
+        edges = TestMachineRenderer.EDGE_VALUES[: masks.size]
+        values[rng.choice(masks.size, size=len(edges), replace=False)] = edges
+        return sp, masks, values
+
+    @staticmethod
+    def dumped(sp, masks, values):
+        """The listing as json.dumps(indent=2) writes it one level down."""
+        plain = {",".join(sp.members(int(m))): v for m, v in zip(masks, values.tolist())}
+        return json.dumps(plain, indent=2).replace("\n", "\n  ")
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 23, 24])
+    def test_listing_text_is_json_dumps(self, n, monkeypatch):
+        sp, masks, values = self.listing_case(n)
+        listing = beliefbet.cli._Listing(sp, masks, values)
+        want = self.dumped(sp, masks, values)
+        assert "".join(beliefbet.cli._listing_text(listing)) == want
+        # chunks of 7 entries: the first chunk alone opens the block
+        monkeypatch.setattr(beliefbet.cli, "_LISTING_CHUNK", 7)
+        assert "".join(beliefbet.cli._listing_text(listing)) == want
+
+    def test_listing_text_across_a_full_chunk(self):
+        # 2^17 masks: two chunks of _LISTING_CHUNK entries, keys on three bytes
+        sp = escaped_space(17)
+        masks = np.arange(sp.size)
+        values = np.random.default_rng(17).normal(size=sp.size)
+        assert masks.size > beliefbet.cli._LISTING_CHUNK
+        text = "".join(beliefbet.cli._listing_text(beliefbet.cli._Listing(sp, masks, values)))
+        assert text == self.dumped(sp, masks, values)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 17, 24])
+    def test_listing_lines_and_parsed_keys(self, n):
+        sp, masks, values = self.listing_case(n)
+        lines = beliefbet.cli._listing_lines(beliefbet.cli._Listing(sp, masks, values))
+        keys = [",".join(sp.members(int(m))) for m in masks]
+        assert lines == [f"{{{k}}}: {beliefbet.cli._fmt(v)}" for k, v in zip(keys, values.tolist())]
+        assert [beliefbet.cli.parse_subset_key(sp, k) for k in keys] == masks.tolist()
+
+    def test_bad_keys_keep_their_messages(self):
+        sp = escaped_space(9)
+        first, last = sp.labels[0], sp.labels[-1]
+        repeated, unknown, trailing = f"{first},{last},{first}", f"{first},nowhere", f"{last},"
+        for key, message in (
+            (repeated, f"subset key repeats a label: {repeated!r}"),
+            (unknown, f"subset key {unknown!r}: unknown outcome label 'nowhere'"),
+            (trailing, f"subset key {trailing!r}: unknown outcome label ''"),
+        ):
+            with pytest.raises(bb.SchemaError) as caught:
+                beliefbet.cli.parse_subset_key(sp, key)
+            assert str(caught.value) == message
+
 
 # ----------------------------------------------------- malformed documents
 

@@ -210,6 +210,44 @@ class TestChoquetPricer:
         assert self._transient(lambda: _buy_each(pm, payoffs)) < 2 << 20
 
 
+class TestFreshTables:
+    """A table built inside the library is frozen where it was built, not
+    copied again by its constructor."""
+
+    N = 20
+
+    @staticmethod
+    def envelope(rng, n):
+        rows = rng.uniform(0.05, 1.0, size=(4, n))
+        return bb.LowerEnvelopeModel(bb.make_space([f"o{i}" for i in range(n)]),
+                                     rows / rows.sum(axis=1, keepdims=True))
+
+    def test_peak_is_one_table(self):
+        # the answer takes 8 bytes per subset; a second table made 17
+        rng = np.random.default_rng(self.N)
+        mass = wide_mass(rng, self.N, 64)
+        pm = self.envelope(rng, self.N)
+        for call in (lambda: bb.mass_to_belief(mass), lambda: bb.induced_set_function(pm)):
+            assert TestChoquetPricer._transient(call) <= 9 << self.N
+
+    def test_envelope_minimum_is_the_rows_minimum(self):
+        pm = self.envelope(np.random.default_rng(5), 14)
+        rows = [bb.LinearModel(pm.space, row).induced_values() for row in pm.rows]
+        assert np.array_equal(pm.induced_values(), np.minimum.reduce(rows))
+        table = bb.induced_set_function(pm).values
+        assert not table.flags.writeable and np.array_equal(table, pm.induced_values())
+
+    def test_constructors_still_copy_what_callers_pass(self):
+        sp = space_of(3)
+        given_values = np.linspace(0.0, 1.0, sp.size)
+        for made in (bb.SetFunction(sp, given_values), bb.BeliefFunction(sp, given_values)):
+            given_values[1] = 0.5
+            assert made.values[1] != 0.5 and not made.values.flags.writeable
+            given_values[1] = 1 / 7
+        bel = bb.mass_to_belief(bb.MassFunction(sp, {1: 0.5, 7: 0.5}))
+        assert np.array_equal(bel.as_set_function().values, bel.values)
+
+
 class TestSell:
     @given(spaces(max_n=4), st.data())
     def test_linear_buy_equals_sell(self, sp, data):

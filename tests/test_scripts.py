@@ -28,7 +28,7 @@ def test_compare_outputs_against_itself():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "compared 238 outputs over 17 documents: 0 differ"
+    assert proc.stdout.splitlines()[-1] == "compared 256 outputs over 19 documents: 0 differ"
 
 
 def test_compare_outputs_shows_the_first_differing_line(tmp_path):
@@ -50,4 +50,4 @@ def test_compare_outputs_shows_the_first_differing_line(tmp_path):
     for i in differing:
         assert lines[i + 1] == "  base:   certificate checked: True"
         assert lines[i + 2] == "  change: certificate verified: True"
-    assert lines[-1] == f"compared 238 outputs over 17 documents: {len(differing)} differ"
+    assert lines[-1] == f"compared 256 outputs over 19 documents: {len(differing)} differ"

@@ -1,5 +1,6 @@
 """Spaces, lattice transforms, and the mass <-> belief correspondence."""
 
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations
@@ -58,6 +59,19 @@ class TestMakeSpace:
         sp = bb.make_space(["a", "b"])
         with pytest.raises(KeyError):
             sp.mask_of(["z"])
+        for label in ("z", ["a"]):
+            with pytest.raises(KeyError) as caught:
+                sp.index_of(label)
+            assert caught.value.args[0] == f"unknown outcome label {label!r}"
+
+    def test_label_lookup_leaves_the_space_as_it_was(self):
+        labels = [f"o{i}" for i in range(24)]
+        sp = bb.make_space(labels)
+        before = (repr(sp), hash(sp))
+        assert [sp.index_of(label) for label in labels] == list(range(24))
+        assert sp.mask_of(["o23", "o0", "o23"]) == 1 << 23 | 1
+        assert (repr(sp), hash(sp)) == before and sp == bb.make_space(labels)
+        assert [f.name for f in dataclasses.fields(sp)] == ["labels"]
 
 
 def mask_calls():
