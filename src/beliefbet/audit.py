@@ -341,6 +341,12 @@ def _gambles(space: OutcomeSpace, payoffs: np.ndarray) -> tuple[Gamble, ...]:
     return tuple(Gamble(space, row) for row in payoffs)
 
 
+def _signed_gap(xs_prices: list[float], ys_prices: list[float]) -> float:
+    """The ``xs`` prices minus the ``ys`` prices in one correctly rounded
+    math.fsum, so its sign is exact: every certificate gap, compared with tol."""
+    return math.fsum(xs_prices + [-p for p in ys_prices])
+
+
 def certificate_from_negative_mass(
     f: SetFunction, subset: int, *, tol: float = DEFAULT_TOL
 ) -> ViolationCertificate:
@@ -353,7 +359,8 @@ def certificate_from_negative_mass(
     negative slack, then the highest B, so it has 2^|B| gambles. ``ys`` holds
     S and the even-order intersections of the family, ``xs`` the odd-order
     ones. A pair's slack is read from the values, f(S) + f(S - B) - f(S - {hi})
-    - f(S - {lo}), and is its buy gap; S itself always qualifies.
+    - f(S - {lo}); S itself always qualifies. The buy gap is the table prices
+    of ``xs`` minus those of ``ys``, in one correctly rounded sum.
     """
     _check_tol(tol)
     space = f.space
@@ -386,15 +393,11 @@ def certificate_from_negative_mass(
     inter, odd = _subfamily_intersections(space.full_mask, _deletion_family(subset, inside[pick], space.n))
     xs_masks = inter[odd]
     ys_masks = np.concatenate(([subset], inter[~odd]))  # the union of the family first
-    if order[pick] == 2 and slack[pick] < -tol:
-        gap = -float(slack[pick])
-    else:
-        gap = math.fsum(values[xs_masks].tolist()) - math.fsum(values[ys_masks].tolist())
     return ViolationCertificate(
         space=space,
         xs=_gambles(space, _member_flags(xs_masks, space.n).astype(float)),
         ys=_gambles(space, _member_flags(ys_masks, space.n).astype(float)),
-        buy_gap=float(gap),
+        buy_gap=_signed_gap(values[xs_masks].tolist(), values[ys_masks].tolist()),
         witness=NegativeMassWitness(subset=subset, mass=float(mass_value)),
     )
 
@@ -419,9 +422,8 @@ def certificate_from_choquet_gap(
     widths = np.diff(levels[0])
     kept = widths > 0
     layer_gambles = _gambles(space, widths[kept, None] * _member_flags(upper[0, 1:][kept], space.n))
-    model_price = buy(pm, shifted)
-    layer_price = math.fsum(buy(pm, layer) for layer in layer_gambles)
-    gap = model_price - layer_price
+    layer_prices = [buy(pm, layer) for layer in layer_gambles]
+    gap = _signed_gap([buy(pm, shifted)], layer_prices)
     if abs(gap) <= tol:
         raise NoGapError(
             f"model and layer prices agree within {tol} on this gamble ({gap!r})"
@@ -440,7 +442,7 @@ def certificate_from_choquet_gap(
         witness=ChoquetGapWitness(
             gamble=gamble,
             model_price=buy(pm, gamble),
-            choquet_price=shift + layer_price,
+            choquet_price=shift + math.fsum(layer_prices),
         ),
     )
 
@@ -451,9 +453,9 @@ def verify_certificate(
     """Recheck a certificate against a model from scratch.
 
     True iff, over every one of the 2^n - 1 nonempty cores, the summed
-    worst-case revenue of ``xs`` stays below that of ``ys`` (within
-    ``EXACT_TOL``), and the model's summed buy price of ``xs`` strictly
-    exceeds that of ``ys`` by more than ``tol``.
+    worst-case revenue of ``xs`` does not exceed that of ``ys``, and the
+    model's ``buy`` quotes of ``xs`` minus those of ``ys``, in one correctly
+    rounded sum, exceed ``tol``: tol, 0 included, judges the float quotes.
 
     The revenues come from the layer cake: on a core C, a gamble X sorted as
     x_1 <= ... <= x_n earns min X plus x_j - x_(j-1) for every j >= 2 with
@@ -475,11 +477,9 @@ def verify_certificate(
     # as floats in place (no layers gives int64); reversed subset sums are superset sums
     gap = _butterfly(table.astype(float, copy=False)[::-1], np.add)[::-1]
     gap += math.fsum((signs * levels[:, 0]).tolist())
-    if not gap[1:].max() <= EXACT_TOL:  # so that a NaN core fails too
+    if not gap[1:].max() <= 0.0:  # so that a NaN core fails too
         return False
-    bought_x = math.fsum(buy(pm, g) for g in cert.xs)
-    bought_y = math.fsum(buy(pm, g) for g in cert.ys)
-    return bought_x > bought_y + tol
+    return _signed_gap([buy(pm, g) for g in cert.xs], [buy(pm, g) for g in cert.ys]) > tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,7 +536,8 @@ def _lattice_certificate(pm: PriceModel, induced: SetFunction, inverted: MassFun
     fewest-outcome offending subset of two or more outcomes (ties broken
     toward later outcomes). Otherwise the model's prices of the plan's
     sampled gambles are compared with their layer cakes over ``induced``, and
-    the largest gap beyond tol gives a pricing-gap certificate."""
+    those whose gap exceeds tol are tried from the largest down, ties in
+    sample order; the first whose gap certificate stays beyond tol is it."""
     if isinstance(inverted, NegativeMassReport):
         subset = _fewest_outcomes(inverted.masks, least=2)
         if subset.bit_count() < 2:
@@ -546,9 +547,11 @@ def _lattice_certificate(pm: PriceModel, induced: SetFunction, inverted: MassFun
         return certificate_from_negative_mass(induced, subset, tol=tol)
     samples = sample_gambles(pm.space, plan)
     gaps = np.abs(buy_batch(pm, samples) - _layer_cakes(induced.values, samples))
-    worst = int(np.argmax(gaps))
-    if gaps[worst] > tol:
-        return certificate_from_choquet_gap(pm, Gamble(pm.space, samples[worst]), tol=tol)
+    for k in np.argsort(-gaps, kind="stable")[:np.count_nonzero(gaps > tol)]:
+        try:
+            return certificate_from_choquet_gap(pm, Gamble(pm.space, samples[k]), tol=tol)
+        except NoGapError:
+            continue
     return None
 
 

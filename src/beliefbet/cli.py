@@ -625,6 +625,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefbet",

@@ -423,7 +423,7 @@ class _MobiusReading:
         masks = np.flatnonzero(self.mob[1:] > 0.0) + 1
         vals = self.mob[masks]
         total = math.fsum(vals.tolist())
-        if abs(total - 1.0) > self.tol:
+        if abs(total - 1.0) > max(self.tol, EXACT_TOL):  # the renormalized mass checks EXACT_TOL
             raise BeliefBetError(f"recovered weights sum to {total!r}, too far from 1")
         if total != 1.0:
             vals = vals / total

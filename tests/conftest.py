@@ -125,6 +125,21 @@ def dense_choquet(n, weight=0.9e-9):
     return bb.ChoquetModel(bb.MassFunction(sp, weights))
 
 
+def near_tie_envelope(seed):
+    """Two rows p and normalize(p + d), with d centred and max |d| drawn
+    from 1e-11 to 1e-8: the near-tie envelopes of ROADMAP item 1(a)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 15))
+    p = rng.uniform(0.05, 1.0, n)
+    p = p / p.sum()
+    d = rng.normal(size=n)
+    d -= d.mean()
+    d *= 10.0 ** rng.uniform(-11, -8) / np.abs(d).max()
+    q = p + d
+    space = bb.make_space([f"w{i}" for i in range(n)])
+    return bb.LowerEnvelopeModel(space, np.array([p, q / q.sum()]))
+
+
 def tied_payoffs(rng, rows, n):
     """Rows drawn from a pool of six values, two negative, two positive and
     both zeros, so that ties, signed zeros and rounded products all occur."""

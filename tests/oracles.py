@@ -20,9 +20,11 @@ and pair_certificate_triu keeps the pair scan over ``np.triu_indices`` that
 every pair certificate must equal bit for bit. additivity_witness_naive
 decides the probability verdict one subset at a time, summing outcome
 prices in the order the additive table sums them, so it must equal the
-verdict exactly."""
+verdict exactly. exact_certificate_holds referees a certificate in exact
+rational arithmetic, with no rounding anywhere."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -244,7 +246,8 @@ def pair_certificate_triu(values, subset, tol):
     """The pair scan of the negative-mass certificate: every pair of the
     ascending deletion family of ``subset`` in ``np.triu_indices`` order, the
     first minimum of f(S) + f(a & b) - f(a) - f(b) kept. Returns its (xs masks,
-    ys masks, buy gap), or None when that slack is not below -tol."""
+    ys masks, buy gap), the gap f(a) + f(b) - f(S) - f(a & b) in one math.fsum,
+    or None when that slack is not below -tol."""
     family = np.sort(np.array([subset ^ 1 << i for i in bits(subset)]))
     i, j = np.triu_indices(family.shape[0], 1)
     a, b = family[i], family[j]
@@ -252,7 +255,8 @@ def pair_certificate_triu(values, subset, tol):
     best = int(np.argmin(slack))
     if not slack[best] < -tol:
         return None
-    return [int(a[best]), int(b[best])], [subset, int(a[best] & b[best])], -float(slack[best])
+    a, b = int(a[best]), int(b[best])
+    return [a, b], [subset, a & b], math.fsum([values[a], values[b], -values[subset], -values[a & b]])
 
 
 def envelope_induced_naive(rows, n):
@@ -358,3 +362,30 @@ def additivity_witness_naive(values, n, tol):
     gap = {i: abs(values[union] - values[union ^ 1 << i] - values[1 << i]) for i in bits(union)}
     single = 1 << max(bits(union), key=lambda i: (gap[i], -i))
     return tuple(sorted((union ^ single, single)))
+
+
+def exact_certificate_holds(pm, cert, tol):
+    """A certificate holds exactly: on every nonempty core C the worst-case
+    revenues, sum over xs of min_C X minus sum over ys of min_C Y, are <= 0
+    as rationals, and the model's float ``buy`` quotes of xs minus those of
+    ys exceed tol as rationals. Every float is read as its exact Fraction
+    and scaled to an integer over the payoffs' common power-of-two
+    denominator; min_C is taken one outcome at a time over the subsets.
+    Standard library only, apart from the gambles' payoff arrays."""
+    sides = [(1, g) for g in cert.xs] + [(-1, g) for g in cert.ys]
+    exact = [[Fraction(x) for x in g.payoff.tolist()] for _, g in sides]
+    scale = max(x.denominator for payoff in exact for x in payoff)
+    revenue = [0] * (1 << cert.space.n)
+    for (sign, _), payoff in zip(sides, exact):
+        ints = [x.numerator * (scale // x.denominator) for x in payoff]
+        mins = [0] * len(revenue)
+        for core in range(1, len(revenue)):
+            low = core & -core
+            rest = core ^ low
+            here = ints[low.bit_length() - 1]
+            mins[core] = here if not rest else min(here, mins[rest])
+            revenue[core] += sign * mins[core]
+    if max(revenue[1:]) > 0:
+        return False
+    quotes = [sign * Fraction(bb.buy(pm, g)) for sign, g in sides]
+    return sum(quotes) > Fraction(tol)

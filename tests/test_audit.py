@@ -2,9 +2,12 @@
 belief-consistency audit, and certificate construction/verification."""
 
 import math
+import runpy
 import time
 import tracemalloc
+from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from beliefbet.previsions import _buy_blocks, _buy_each, _own_mass
 from conftest import (
     dense_choquet,
     mass_functions,
+    near_tie_envelope,
     probability_vectors,
     random_mass,
     random_model,
@@ -31,6 +35,7 @@ from oracles import (
     choquet_gap_layers_loop as layer_gambles,
     duality_rhs_by_sell,
     envelope_induced_naive,
+    exact_certificate_holds,
     is_two_monotone,
     least_order_naive,
     mobius_naive,
@@ -1042,11 +1047,12 @@ class IndicatorTableModel:
         return float(self.values[int(np.dot(payoff > 0.5, 1 << np.arange(self.space.n)))])
 
 
-def dominated_naive(cert, exact_tol=bb.EXACT_TOL):
-    """Brute force: the summed core minima of xs stay within exact_tol of ys."""
+def dominated_naive(cert):
+    """Brute force: on every core the core minima of xs minus those of ys,
+    in one correctly rounded fsum, are at most 0."""
     xs, ys = ([subset_minima_naive(g.payoff.tolist()) for g in side] for side in (cert.xs, cert.ys))
     return all(
-        math.fsum(t[mask] for t in xs) <= math.fsum(t[mask] for t in ys) + exact_tol
+        math.fsum([t[mask] for t in xs] + [-t[mask] for t in ys]) <= 0.0
         for mask in range(1, cert.space.size)
     )
 
@@ -1131,9 +1137,20 @@ class TestVerifierAgainstOracle:
             lifted = bb.Gamble(sp, lifted)
             assert not self.check(side_certificate(sp, [lifted], layer_gambles(g)))
 
+    def test_lift_below_exact_tol_flips_the_verdict(self):
+        # the revenue order has no allowance: 2^-52 on one outcome of a
+        # gamble on the 2^-53 grid of [0, 1) keeps every width exact
+        rng = np.random.default_rng(66)
+        for _ in range(20):
+            sp = space_of(int(rng.integers(1, 8)))
+            g = bb.Gamble(sp, rng.uniform(0, 1, size=sp.n))
+            lifted = g.payoff.copy()
+            lifted[int(rng.integers(0, sp.n))] += 2.0 ** -52
+            assert not self.check(side_certificate(sp, [bb.Gamble(sp, lifted)], layer_gambles(g)))
+
     def test_overflowing_widths_fail_the_check(self):
         # B on both sides: its width overflows to inf, so the +inf and -inf
-        # meet on {o1} as NaN, while X earns 1 > EXACT_TOL on every core.
+        # meet on {o1} as NaN, while X alone puts xs 1 ahead on every core.
         # (The float oracle loses X's 1 against 1e308, so it is not asked.)
         sp = space_of(2)
         x = bb.Gamble(sp, [1.0, 1.0])
@@ -1425,8 +1442,9 @@ class TestCertificateWeight:
         family = sorted(sp.full_mask ^ (1 << i) for i in range(n))
         slacks = [(values[-1] + values[a & b] - values[a] - values[b], a, b)
                   for k, a in enumerate(family) for b in family[k + 1 :]]
-        slack, a, b = min(slacks, key=lambda t: t[0])
-        assert cert.buy_gap == -slack
+        _, a, b = min(slacks, key=lambda t: t[0])
+        # the gap is the signed sum of the pair's four prices, correctly rounded
+        assert cert.buy_gap == math.fsum([values[a], values[b], -values[-1], -values[a & b]])
         assert [g.payoff.tolist() for g in cert.xs] == [
             bb.indicator(sp, a).payoff.tolist(), bb.indicator(sp, b).payoff.tolist()
         ]
@@ -1451,11 +1469,82 @@ def test_envelope_audit_holds_no_moebius_table():
     assert peak < 34 << n
 
 
+def seeded_envelopes(rng, count):
+    """Lower envelopes on 2 to 8 outcomes, cycling through 1 to 4 random rows,
+    a row and its near copy (ROADMAP item 1(a)), and 2 to 6 core vertices of
+    a random belief function, so that both certificate kinds occur."""
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        if i % 3 == 0:
+            rows = rng.uniform(0.05, 1.0, size=(int(rng.integers(1, 5)), n))
+        elif i % 3 == 1:
+            p = rng.uniform(0.05, 1.0, n)
+            d = rng.normal(size=n)
+            d -= d.mean()
+            rows = np.array([p / p.sum(), p / p.sum() + d * 10.0 ** rng.uniform(-11, -8) / np.abs(d).max()])
+        else:
+            bel = bb.mass_to_belief(random_mass(rng, space_of(n))).values
+            rows = np.zeros((int(rng.integers(2, 7)), n))
+            for row in rows:
+                order = rng.permutation(n)
+                row[order] = np.diff(bel[np.cumsum(1 << order)], prepend=0.0)
+        yield bb.LowerEnvelopeModel(space_of(n), rows / rows.sum(axis=1, keepdims=True))
+
+
+class TestExactCertificates:
+    """Every certificate the audit emits holds in exact arithmetic
+    (oracles.exact_certificate_holds): its revenues are ordered on every
+    core, and its gap on the model's float buy quotes exceeds tol, 0
+    included. Its two sides swapped, it fails the same referee."""
+
+    @staticmethod
+    def assert_holds(pm, report, tol):
+        cert = report.certificate
+        assert report.certificate_verified and exact_certificate_holds(pm, cert, tol)
+        swapped = bb.ViolationCertificate(cert.space, cert.ys, cert.xs, cert.buy_gap, cert.witness)
+        assert not exact_certificate_holds(pm, swapped, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+    def test_seeded_envelopes(self, tol):
+        plan = bb.SamplePlan(num_samples=32)
+        kinds = Counter()
+        for pm in seeded_envelopes(np.random.default_rng(93), 90):
+            try:
+                report = bb.belief_consistency_audit(pm, plan, tol=tol)
+            except bb.BeliefBetError as exc:
+                # a near copy whose clamped weights miss 1 by more than tol
+                # gets no verdict and no certificate (ROADMAP item 1(a))
+                assert "too far from 1" in str(exc) and tol > 0.0
+                kinds["weight sum"] += 1
+                continue
+            if report.certificate is not None:
+                self.assert_holds(pm, report, tol)
+            kinds[getattr(report.certificate, "kind", None)] += 1
+        assert kinds["negative_mass"] >= 30 and kinds["choquet_gap"] >= 5 and kinds[None] >= 10
+
+    def test_near_tie_envelopes_at_tol_zero(self):
+        for seed in range(40):
+            pm = near_tie_envelope(seed)
+            self.assert_holds(pm, bb.belief_consistency_audit(pm, tol=0.0), 0.0)
+
+    def test_zero_weight_and_core_vertex_envelopes_at_tol_zero(self):
+        # the 1(f) envelope, whose weight at {a,b,c} is 0 in decimal and
+        # -8.3e-17 in the float table, and the byte gate's two core-vertex
+        # envelopes on 5 outcomes, all certified on roundoff at tol 0
+        script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"))
+        rows = [np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])]
+        rows += [np.array(doc["rows"]) for doc in script["core_vertex_documents"]()]
+        for r in rows:
+            pm = bb.LowerEnvelopeModel(space_of(r.shape[1]), r)
+            self.assert_holds(pm, bb.belief_consistency_audit(pm, tol=0.0), 0.0)
+
+
 class TestVerdictsDoNotDependOnEncoding:
     """At the default tol, one pricing functional written as different
     documents gets the same verdict; a probability is one at tol 0 too, and
     a linear model and its singleton mass agree at every tol. Relabeling the
-    outcomes keeps the verdicts of own-mass models and 4-row envelopes."""
+    outcomes keeps the verdicts of own-mass models and, at tol 0 too, of
+    4-row envelopes."""
 
     @given(st.integers(1, 5).flatmap(probability_vectors))
     def test_probability_as_linear_envelope_and_singleton_mass(self, p):
@@ -1537,11 +1626,9 @@ class TestVerdictsDoNotDependOnEncoding:
     def test_own_mass_models_under_relabeling(self, tol):
         """Choquet and linear models keep their verdicts under every tried
         relabeling of their outcomes and recover the relabeled mass bit for
-        bit. Lower envelopes are left to the next test: at tol 0 a 4-row
-        envelope at n=16 raises "internal error: emitted certificate failed
-        verification" on roundoff weights (ROADMAP item 1(g)), and the
-        sampled verdict of a drop-one core-vertex envelope flips under
-        relabeling (item 6)."""
+        bit. Lower envelopes are left to the next test, and the sampled
+        verdict of a drop-one core-vertex envelope flips under relabeling
+        (ROADMAP item 6)."""
         rng = np.random.default_rng(91)
         p = rng.uniform(0.0, 1.0, 16)
         p[::5] = 0.0
@@ -1550,14 +1637,16 @@ class TestVerdictsDoNotDependOnEncoding:
         for pm in models:
             self.assert_relabelings_agree(pm, rng, tol)
 
-    def test_envelopes_under_relabeling(self):
-        # seeded 4-row envelopes at the default tol: negative-mass verdicts
+    @pytest.mark.parametrize("tol", [0.0, bb.DEFAULT_TOL])
+    def test_envelopes_under_relabeling(self, tol):
+        # seeded 4-row envelopes: negative-mass verdicts, at tol 0 on weights
+        # whose certificate gaps hold on the float quotes
         rng = np.random.default_rng(92)
         sp = bb.make_space([f"o{i}" for i in range(16)])
         for _ in range(3):
             rows = rng.uniform(0.05, 1.0, size=(4, sp.n))
             self.assert_relabelings_agree(bb.LowerEnvelopeModel(sp, rows / rows.sum(axis=1, keepdims=True)),
-                                          rng, bb.DEFAULT_TOL)
+                                          rng, tol)
 
 
 def relabeled_weights(weights, sigma):

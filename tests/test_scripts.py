@@ -28,7 +28,13 @@ def test_compare_outputs_against_itself():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "compared 256 outputs over 19 documents: 0 differ"
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "compared 256 outputs over 19 documents: 0 differ"
+    # exit 2 means malformed input, and every corpus document is valid
+    zero_tol = [line for line in lines if line.startswith("tol 0, ")]
+    assert zero_tol
+    for line in zero_tol:
+        assert not [c for c in line.split(": exit ")[1].split(", ") if c.startswith("2 x")], line
 
 
 def test_compare_outputs_shows_the_first_differing_line(tmp_path):
