@@ -34,7 +34,10 @@ model on 18 escaped labels whose focal sets hold outcomes 16 and 17 (its
 belief table lists all 2^18 keys) and a 4-row lower envelope on 17
 outcomes whose negative-mass listing names outcome 16. Their listings are
 long, so they are audited and transformed with the first flag set below
-only.
+only. They hold the gate's multi-chunk human listings: the Choquet model's
+human ``transform --to belief`` writes 2^18 lines in 4 chunks, and the
+envelope's human ``transform --to mass`` flags NEGATIVE lines past its first
+chunk.
 
 Every model document is audited in human and machine format, with default
 flags, with ``--seed 7 --samples 64 --tol 1e-7`` and with ``--tol 0``, and it

@@ -285,16 +285,14 @@ def probability_check(pm: PriceModel, *, tol: float = DEFAULT_TOL) -> Probabilit
     gap is largest. That gap may be within tol when sub-tol gaps add up.
     A model's own mass on single outcomes (a linear model's) prices each
     subset at the sum of its outcome prices, added in the order the verdict
-    adds them, so it passes with no table built; a Choquet model's table is
-    its own, not copied.
+    adds them, so it passes with no table built; any other model's induced
+    table is read as built, not copied.
     """
     _check_tol(tol)
     own = _own_mass(pm)
-    if own is None:
-        return _probability_verdict(induced_set_function(pm).values, tol)
-    if np.all(np.bitwise_count(own.mask_array) == 1):
+    if own is not None and np.all(np.bitwise_count(own.mask_array) == 1):
         return ProbabilityCheck(True)
-    return _probability_verdict(pm.induced_values(), tol)
+    return _probability_verdict(induced_set_function(pm).values, tol)
 
 
 @dataclass(frozen=True)

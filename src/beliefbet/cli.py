@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -313,35 +314,48 @@ class _Listing:
     values: np.ndarray
 
 
-def _listing_text(listing: _Listing) -> Iterator[str]:
-    """The block as json.dumps(indent=2) writes it one level down, in chunks
-    of _LISTING_CHUNK entries. The byte tables are built once per listing,
-    with the separator and opening quote before each key and the closing
-    quote and colon after it. A chunk is one join of its entries' pieces:
-    the key pieces gathered from those tables, then the value's
-    float.__repr__, as json writes it, or JSON's spelling of a nonfinite
-    value."""
-    if not listing.masks.size:
-        yield "{}"
-        return
-    # JSON escapes a string one character at a time, so a key built from the
-    # escaped labels is the escaped key
-    escaped = [encode_basestring_ascii(label)[1:-1] for label in listing.space.labels]
-    tables = _key_tables(escaped, ',\n    "', '": ')
+def _listing_text(
+    listing: _Listing, indent: str | None = None, flagged: np.ndarray | None = None
+) -> Iterator[str]:
+    """The block in chunks of _LISTING_CHUNK entries: as json.dumps(indent=2)
+    writes it one level down or, given an ``indent``, one human line
+    ``{key}: value`` per entry after it, with "  NEGATIVE" where the bool array
+    ``flagged`` is set. The byte tables are built once per listing, with the
+    text before and after each key. A chunk is one join of its entries'
+    pieces: the key pieces gathered from those tables, then the value's text:
+    float.__repr__ as json writes it (or JSON's spelling of a nonfinite
+    value), or .17g and a newline."""
+    if indent is None:
+        if not listing.masks.size:
+            yield "{}"
+            return
+        # JSON escapes a string one character at a time, so a key built from
+        # the escaped labels is the escaped key
+        labels = [encode_basestring_ascii(label)[1:-1] for label in listing.space.labels]
+        first, lead, trail, spell = '{\n    "', ',\n    "', '": ', float.__repr__
+    else:
+        labels, trail, spell = listing.space.labels, "}: ", "{:.17g}\n".format
+        first = lead = indent + "{"
+    tables = _key_tables(labels, lead, trail)
     width = len(tables) + 1
     for lo in range(0, listing.masks.size, _LISTING_CHUNK):
         values = listing.values[lo : lo + _LISTING_CHUNK]
-        texts = list(map(float.__repr__, values.tolist()))
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            texts[i] = json.dumps(float(values[i]))  # NaN, Infinity, -Infinity
+        texts = list(map(spell, values.tolist()))
+        if indent is None:
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                texts[i] = json.dumps(float(values[i]))  # NaN, Infinity, -Infinity
+        elif flagged is not None:
+            for i in np.flatnonzero(flagged[lo : lo + _LISTING_CHUNK]).tolist():
+                texts[i] = texts[i][:-1] + "  NEGATIVE\n"
         pieces = [""] * (width * len(texts))
         for j, column in enumerate(_key_pieces(tables, listing.masks[lo : lo + _LISTING_CHUNK])):
             pieces[j::width] = column.tolist()
         pieces[width - 1 :: width] = texts
         if not lo:  # the first entry opens the block instead of following one
-            pieces[0] = "{" + pieces[0][1:]
+            pieces[0] = first + pieces[0][len(lead) :]
         yield "".join(pieces)
-    yield "\n  }"
+    if indent is None:
+        yield "\n  }"
 
 
 def _machine(doc: dict) -> Iterator[str]:
@@ -421,16 +435,11 @@ def _mass_listing(mass: MassFunction) -> _Listing:
     return _Listing(mass.space, mass.mask_array, mass.weight_array)
 
 
-def _listing_lines(listing: _Listing) -> list[str]:
-    keys = subset_keys(listing.space.labels, listing.masks)
-    return [f"{{{k}}}: {_fmt(v)}" for k, v in zip(keys, listing.values.tolist())]
-
-
 def _mass_output(args: argparse.Namespace, mass: MassFunction) -> Iterable[str]:
     """The ``transform --to mass`` listing of a mass function."""
     if args.format == "machine":
         return _machine({"space": list(mass.space.labels), "kind": "mass", "mass": _mass_listing(mass)})
-    return _human(_listing_lines(_mass_listing(mass)))
+    return _listing_text(_mass_listing(mass), "")
 
 
 # -------------------------------------------------------------- commands
@@ -449,7 +458,7 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         values = _Listing(space, np.arange(space.size), mass_to_belief(mass).values)
         if args.format == "machine":
             return 0, _machine({"space": list(space.labels), "kind": "belief", "values": values})
-        return 0, _human(_listing_lines(values))
+        return 0, _listing_text(values, "")
 
     if kind == "belief":
         table = _set_function_from(doc, space)
@@ -476,11 +485,9 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
             "mobius": mobius,
             "negative": _Listing(space, result.masks, result.weights),
         })
-    lines = _listing_lines(mobius)
-    for i in np.flatnonzero(np.isin(visible, result.masks)).tolist():
-        lines[i] += "  NEGATIVE"
-    lines.append(f"{result.masks.size} subset(s) carry negative weight; not a belief function")
-    return 0, _human(lines)
+    summary = f"{result.masks.size} subset(s) carry negative weight; not a belief function"
+    # the visible weights below -tol are the report's
+    return 0, itertools.chain(_listing_text(mobius, "", mobius.values < -args.tol), _human([summary]))
 
 
 def _cmd_price(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
@@ -563,7 +570,6 @@ def _report_lines(report: AuditReport) -> list[str]:
     if report.is_belief_consistent:
         lines.append("VERDICT: belief-consistent")
         lines.append("recovered mass:")
-        lines.extend("  " + line for line in _listing_lines(_mass_listing(report.induced_mass)))
     else:
         lines.append("VERDICT: NOT belief-consistent")
         lines.extend(_certificate_lines(space, report.certificate))
@@ -579,7 +585,10 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     code = 0 if report.is_belief_consistent else 1
     if args.format == "machine":
         return code, _machine(_report_doc(args, report, data))
-    return code, _human(_report_lines(report))
+    text = _human(_report_lines(report))
+    if report.is_belief_consistent:
+        return code, itertools.chain(text, _listing_text(_mass_listing(report.induced_mass), "  "))
+    return code, text
 
 
 def _cmd_dutchbook(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

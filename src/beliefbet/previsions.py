@@ -46,6 +46,7 @@ from .setfn import (
     _Built,
     _additive_blocks,
     _butterfly,
+    _doubled,
     _frozen,
     _member_flags,
 )
@@ -102,15 +103,6 @@ def constant_gamble(space: OutcomeSpace, value: float) -> Gamble:
     return Gamble(space, np.full(space.n, float(value)))
 
 
-def _additive_values(space: OutcomeSpace, prob: np.ndarray) -> np.ndarray:
-    """Indicator prices under one probability vector, block by block: each is
-    the same sum, in the same order, as the singleton seed's zeta."""
-    table = np.empty(space.size)
-    for at, block in _additive_blocks(prob):
-        table[at] = block
-    return table
-
-
 def _check_probability_vector(p: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise BeliefBetError(f"{what} must be finite")
@@ -145,7 +137,7 @@ class LinearModel:
         return payoffs @ self.prob
 
     def induced_values(self) -> np.ndarray:
-        return _additive_values(self.space, self.prob)
+        return _doubled(0.0, self.prob, np.add, float)
 
 
 #: Entries one block of the Choquet pricer gathers: focal sets times payoff

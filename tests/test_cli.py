@@ -582,6 +582,23 @@ class TestOwnMass:
         peak = self.traced_peak(lambda: bb.belief_consistency_audit(choquet, plan))
         assert peak <= (18.29 - 8) * (1 << self.N)
 
+    def test_human_listings_stream(self, tmp_path):
+        # a human listing is written a chunk at a time, as a machine one is:
+        # 76 and 80 bytes per subset here, against 239 and 282 when every
+        # line was formatted and the listing joined into one string
+        n = 18
+        rng = np.random.default_rng(n)
+        choquet = bb.ChoquetModel(wide_mass(rng, n, 64))
+        rows = rng.uniform(0.05, 1.0, size=(4, n))
+        envelope = {"space": list(choquet.space.labels), "kind": "lower_envelope",
+                    "rows": (rows / rows.sum(axis=1, keepdims=True)).tolist()}
+        out = str(tmp_path / "out.txt")
+        for doc, to in ((own_mass_document(choquet), "belief"), (envelope, "mass")):
+            argv = ["transform", write(tmp_path, f"{to}.json", doc), "--to", to, "--out", out]
+            assert self.traced_peak(lambda: main(argv)) < 100 * (1 << n), to
+            with open(out, encoding="utf-8") as fh:
+                assert sum(1 for _ in fh) >= 1 << n - 1, to
+
     @given(own_mass_models(), st.sampled_from([0.0, 1e-12, 1e-9]))
     @example(dense_choquet(8), 0.0)
     @example(dense_choquet(8), 1e-12)
@@ -854,11 +871,25 @@ class TestMachineRenderer:
         assert text == self.dumped(sp, masks, values)
 
     @pytest.mark.parametrize("n", [1, 8, 9, 17, 24])
-    def test_listing_lines_and_parsed_keys(self, n):
+    def test_listing_lines_and_parsed_keys(self, n, monkeypatch):
+        # human listings against the per-line rendering they replaced: one
+        # f-string per entry, "  NEGATIVE" appended to the flagged ones, and
+        # the lines joined with newlines
         sp, masks, values = self.listing_case(n)
-        lines = beliefbet.cli._listing_lines(beliefbet.cli._Listing(sp, masks, values))
+        listing = beliefbet.cli._Listing(sp, masks, values)
         keys = [",".join(sp.members(int(m))) for m in masks]
-        assert lines == [f"{{{k}}}: {beliefbet.cli._fmt(v)}" for k, v in zip(keys, values.tolist())]
+        flagged = np.random.default_rng(n).random(masks.size) < 0.3
+        flagged[0] = True
+        flagged[6:8] = True  # both sides of the boundary of chunks of 7
+        for indent in ("", "  "):
+            for marks in (None, flagged):
+                lines = [f"{indent}{{{k}}}: {beliefbet.cli._fmt(v)}" for k, v in zip(keys, values.tolist())]
+                for i in [] if marks is None else np.flatnonzero(marks).tolist():
+                    lines[i] += "  NEGATIVE"
+                want = "\n".join(lines) + "\n"
+                for chunk in (1 << 16, 7):
+                    monkeypatch.setattr(beliefbet.cli, "_LISTING_CHUNK", chunk)
+                    assert "".join(beliefbet.cli._listing_text(listing, indent, marks)) == want
         assert [beliefbet.cli.parse_subset_key(sp, k) for k in keys] == masks.tolist()
 
     def test_bad_keys_keep_their_messages(self):

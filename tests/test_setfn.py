@@ -579,8 +579,6 @@ class TestAdditiveTablesByDoubling:
             rows = rng.uniform(0.05, 1.0, size=(int(rng.integers(1, 5)), n))
             rows /= rows.sum(axis=1, keepdims=True)
             zeta_rows = [singleton_zeta(space, row) for row in rows]
-            got = beliefbet.previsions._additive_values(space, rows[0])
-            assert np.array_equal(got.view(np.int64), zeta_rows[0].view(np.int64))
             envelope = bb.LowerEnvelopeModel(space, rows).induced_values()
             assert np.array_equal(
                 envelope.view(np.int64), np.minimum.reduce(zeta_rows).view(np.int64)
@@ -606,7 +604,6 @@ class TestDoublingBuilder:
             prob = rng.uniform(0.05, 1.0, n)
             prob /= prob.sum()
             want = additive_values_loop(space, prob)
-            self.same_bits(beliefbet.previsions._additive_values(space, prob), want)
             self.same_bits(bb.LinearModel(space, prob).induced_values(), want)
 
     def test_subfamily_intersections(self):
