@@ -37,7 +37,14 @@ long, so they are audited and transformed with the first flag set below
 only. They hold the gate's multi-chunk human listings: the Choquet model's
 human ``transform --to belief`` writes 2^18 lines in 4 chunks, and the
 envelope's human ``transform --to mass`` flags NEGATIVE lines past its first
-chunk.
+chunk. Machine listings of at least ``cli._SHORTEST_TEXTS_MIN`` (512) entries
+take their value texts from the numpy kernel ``cli._json_float_texts``: at
+``--docs 400`` that is 199 runs, among them Choquet ``transform --to belief``
+at 9 outcomes or more, the machine audits and ``transform --to mass`` runs of
+22 envelope and 12 near-copy documents and of wide Choquet document 91, both
+high-byte documents, and the Moebius listings of 10 noisy belief tables,
+whose exponent texts run from e-09 and e-10 (the noise) to e-26 (roundoff,
+at ``--tol 0``).
 
 Every model document is audited in human and machine format, with default
 flags, with ``--seed 7 --samples 64 --tol 1e-7`` and with ``--tol 0``, and it

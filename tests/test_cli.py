@@ -825,9 +825,12 @@ class TestMachineRenderer:
         assert [beliefbet.cli.subset_key(sp, int(m)) for m in masks[:40]] == keys[:40]
 
     #: Floats whose text is easy to get wrong: JSON's spellings of the
-    #: nonfinite values, signed zero, the least subnormal, and values where
-    #: repr switches between plain and exponent notation.
-    EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e16, 1e22, -1.5, 0.1]
+    #: nonfinite values, signed zero, the least subnormal and normal, values
+    #: where repr switches between plain and exponent notation or between 16
+    #: and 17 digits, and the 17-digit repr of 0.1 + 0.2.
+    EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e16, 1e22, -1.5, 0.1,
+                   math.nextafter(1e16, 0), 9.999999999999999e-05, 2.0**-1022,
+                   0.30000000000000004, 123456789012345680.0]
 
     @staticmethod
     def listing_case(n):
@@ -862,7 +865,7 @@ class TestMachineRenderer:
         assert "".join(beliefbet.cli._listing_text(listing)) == want
 
     def test_listing_text_across_a_full_chunk(self):
-        # 2^17 masks: two chunks of _LISTING_CHUNK entries, keys on three bytes
+        # 2^17 masks: 16 chunks of _LISTING_CHUNK entries, keys on three bytes
         sp = escaped_space(17)
         masks = np.arange(sp.size)
         values = np.random.default_rng(17).normal(size=sp.size)
@@ -904,6 +907,99 @@ class TestMachineRenderer:
             with pytest.raises(bb.SchemaError) as caught:
                 beliefbet.cli.parse_subset_key(sp, key)
             assert str(caught.value) == message
+
+
+def halfway_decimals():
+    """Pairs of adjacent doubles above 2^57 whose midpoint is a decimal of at
+    most 14 significant digits. It rounds to the even one, so that one's repr is the
+    midpoint's digits and the odd one's is not. Scaling them by 10^q < 1
+    rounds, so the kernel sees the tie only to within its error bound."""
+    pairs = []
+    for e in range(5, 20):
+        t = 12345678901234 + 1000003 * e
+        half = 1 << ((t * 10**e).bit_length() - 54)  # half an ulp at t * 10^e
+        modulus = 2 * half >> e
+        # t * 10^e = half (mod 2 * half): t * 5^e = half / 2^e (mod 2 * half / 2^e)
+        t += ((half >> e) * pow(5, -e, modulus) - t) % modulus
+        midpoint = t * 10**e
+        assert midpoint % (2 * half) == half
+        even = float(midpoint)
+        odd = math.nextafter(even, math.inf if even < midpoint else -math.inf)
+        assert int(even) + int(odd) == 2 * midpoint
+        pairs += [even, odd]
+    return pairs
+
+
+class TestJsonFloatTexts:
+    """Machine value texts come from numpy a chunk at a time, and must stay
+    what json.dumps writes for each float."""
+
+    MIN = beliefbet.cli._SHORTEST_TEXTS_MIN
+    CHUNK = beliefbet.cli._LISTING_CHUNK
+
+    @staticmethod
+    def texts(values):
+        chunk = beliefbet.cli._LISTING_CHUNK
+        return [text for lo in range(0, values.size, chunk)
+                for text in beliefbet.cli._json_float_texts(values[lo : lo + chunk])]
+
+    @staticmethod
+    def dumped(values):
+        return [json.dumps(x) for x in values.tolist()]
+
+    @staticmethod
+    def adversarial():
+        """Powers of 10 and 2 and their neighbours on both sides, halfway
+        decimals, values at the ends of the kernel's range and of float
+        range, signed zeros and nonfinite values, of both signs."""
+        powers = np.array([10.0**e for e in range(-40, 41)] + [2.0**e for e in range(-140, 141)])
+        ends = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-30, 1e30, 1e17,
+                123456789012345680.0, 2.0**-1022, 5e-324, 1.7976931348623157e308, 0.0,
+                math.nan, math.inf]
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf),
+                                 halfway_decimals(), ends])
+        return np.concatenate([values, -values])
+
+    def test_random_values(self):
+        # 160,000 values: random bit patterns, normals scaled across 1e-35 to
+        # 1e35, and both rounded to 1-17 significant digits and to 1-17 decimals
+        rng = np.random.default_rng(29)
+        size = 40_000
+        bits = rng.integers(-(2**63), 2**63, size=size, dtype=np.int64).view(np.float64)
+        scaled = rng.normal(size=size) * 10.0 ** rng.integers(-35, 36, size=size)
+        digits = rng.integers(1, 18, size=size).tolist()
+        short = np.array([float(f"{x:.{d}g}") for x, d in zip(scaled.tolist(), digits)])
+        rounded = np.array([round(x, d) for x, d in zip(rng.normal(size=size).tolist(), digits)])
+        for values in (bits, scaled, short, rounded):
+            assert self.texts(values) == self.dumped(values)
+
+    def test_adversarial_values(self):
+        values = self.adversarial()
+        assert values.size >= self.MIN
+        assert self.texts(values) == self.dumped(values)
+        # the even neighbour of a halfway decimal writes that decimal's digits
+        even, odd = halfway_decimals()[:2]
+        assert len(repr(even).split("e")[0]) <= 16 < len(repr(odd).split("e")[0])
+
+    @pytest.mark.parametrize("size", [1, MIN - 1, MIN, CHUNK, CHUNK + MIN - 1])
+    def test_sizes_around_the_crossover_and_a_chunk(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-35, 36, size=size)
+        edges = rng.permutation(self.adversarial())[:size]
+        values[rng.choice(size, size=edges.size, replace=False)] = edges
+        assert self.texts(values) == self.dumped(values)
+        # a listing across a chunk boundary: its last chunk may fall below the crossover
+        sp = bb.make_space([f"o{i}" for i in range(14)])
+        listing = beliefbet.cli._Listing(sp, np.arange(size), values)
+        plain = {",".join(sp.members(m)): x for m, x in enumerate(values.tolist())}
+        want = json.dumps(plain, indent=2).replace("\n", "\n  ")
+        assert "".join(beliefbet.cli._listing_text(listing)) == want
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @example([0.1, -0.0, math.inf, 5e-324, 1e16, 9.999999999999999e-05])
+    def test_any_floats(self, xs):
+        values = np.resize(np.array(xs, dtype=np.float64), self.MIN)
+        assert beliefbet.cli._json_float_texts(values) == self.dumped(values)
 
 
 # ----------------------------------------------------- malformed documents
